@@ -18,7 +18,8 @@ test:
 	go test ./...
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
-# (ShardedScheduler, obs counters) and the golden differential suite.
+# (the serve dispatcher's scheduler lock, obs counters) and the golden
+# differential suite.
 race:
 	go test -race ./internal/...
 

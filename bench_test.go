@@ -308,43 +308,12 @@ func BenchmarkSchedulerAddBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "requests/s")
 }
 
-// BenchmarkConcurrentIngress measures sharded Add throughput as GOMAXPROCS
-// grows: run with `-cpu 1,2,4` and a fixed `-benchtime=Nx` to compare the
-// same total work. Ingress-only by design — Next is single-consumer, and the
-// criterion under test is producer-side scaling.
-func BenchmarkConcurrentIngress(b *testing.B) {
-	s := core.MustShardedScheduler("bench", core.EncapsulatorConfig{
-		Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8,
-		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: 3832,
-	}, 0)
-	var worker atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		// Each worker owns a disjoint ID range so the Fibonacci shard hash
-		// sees the full spread it would in a live system. Requests are
-		// pre-built (a producer would hand over existing requests); all
-		// producers observe the same head position, as they would between
-		// two dispatches of the single arm.
-		base := worker.Add(1) << 32
-		ring := make([]core.Request, 1024)
-		for j := range ring {
-			ring[j] = core.Request{
-				ID: base | uint64(j), Priorities: []int{j % 8, (j * 3) % 8, (j * 5) % 8},
-				Deadline: int64(500_000 + j%4096), Cylinder: (j * 37) % 3832,
-			}
-		}
-		i := 0
-		for pb.Next() {
-			s.Add(&ring[i&1023], int64(i), 1200)
-			i++
-		}
-	})
-}
-
-// BenchmarkConcurrentIngressSingleLock is the contention baseline for
-// BenchmarkConcurrentIngress: the same workload funneled through one mutex
-// around the serial Scheduler. On a multi-core machine the gap between the
-// two at -cpu 4 is the sharding win.
+// BenchmarkConcurrentIngressSingleLock measures concurrent Add throughput
+// through one mutex around the serial Scheduler — the path serve.Dispatcher's
+// producers take. Run with `-cpu 1,2,4` and a fixed `-benchtime=Nx` to
+// compare the same total work as GOMAXPROCS grows. Ingress-only by design:
+// Next is single-consumer, and the criterion under test is producer-side
+// contention.
 func BenchmarkConcurrentIngressSingleLock(b *testing.B) {
 	s := core.MustScheduler("bench", core.EncapsulatorConfig{
 		Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8,
@@ -354,6 +323,10 @@ func BenchmarkConcurrentIngressSingleLock(b *testing.B) {
 	var mu sync.Mutex
 	var worker atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
+		// Each worker owns a disjoint ID range. Requests are pre-built (a
+		// producer would hand over existing requests); all producers
+		// observe the same head position, as they would between two
+		// dispatches of the single arm.
 		base := worker.Add(1) << 32
 		ring := make([]core.Request, 1024)
 		for j := range ring {

@@ -48,7 +48,7 @@ func runServe(out io.Writer, o *options) error {
 		UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: model.Cylinders,
 	}
-	sched, err := core.NewShardedScheduler("serve", ecfg, 0)
+	sched, err := core.NewScheduler("serve", ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func skipUnderRace(t *testing.T) {
 
 func TestValueAtNoAllocs(t *testing.T) {
 	skipUnderRace(t)
-	e := MustEncapsulator(shardedTestConfig())
+	e := MustEncapsulator(cascadeTestConfig())
 	r := &Request{Priorities: []int{3, 1, 6}, Deadline: 600_000, Cylinder: 1200}
 	e.ValueAt(r, 0, 0, 0) // warm the scratch pool
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -54,7 +54,7 @@ func TestDispatcherSteadyStateNoAllocs(t *testing.T) {
 
 func TestSchedulerAddNoAllocs(t *testing.T) {
 	skipUnderRace(t)
-	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
+	s := MustScheduler("x", cascadeTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
 	reqs := make([]*Request, 64)
 	for i := range reqs {
 		reqs[i] = &Request{ID: uint64(i), Priorities: []int{i % 8, (i * 3) % 8, 0}, Deadline: 500_000, Cylinder: (i * 37) % 3832}
@@ -76,31 +76,6 @@ func TestSchedulerAddNoAllocs(t *testing.T) {
 	}
 }
 
-func TestShardedAddNextNoAllocs(t *testing.T) {
-	skipUnderRace(t)
-	ss := MustShardedScheduler("s", shardedTestConfig(), 4)
-	reqs := make([]*Request, 64)
-	for i := range reqs {
-		reqs[i] = &Request{ID: uint64(i), Priorities: []int{i % 8, 0, 0}, Deadline: 500_000, Cylinder: (i * 37) % 3832}
-	}
-	for i := 0; i < 1024; i++ {
-		ss.Add(reqs[i%64], int64(i), 0)
-	}
-	for ss.Next(0, 0) != nil {
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		// Vary the head so the sweep-timeline CAS (and its saturation
-		// guard) runs inside the measured window, not just the fast path.
-		ss.Add(reqs[i%64], int64(i), i%3832)
-		ss.Next(int64(i), i%3832)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("sharded Add+Next allocates %v per op in steady state", allocs)
-	}
-}
-
 // TestInstrumentedPathsNoAllocs pins that the observability layer itself is
 // allocation-free on the hot path: a per-instance Metrics sink (counters,
 // hi-water gauge, dispatch-wait histogram all active) must leave the
@@ -109,7 +84,7 @@ func TestShardedAddNextNoAllocs(t *testing.T) {
 // vacuously.
 func TestInstrumentedPathsNoAllocs(t *testing.T) {
 	skipUnderRace(t)
-	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: ConditionallyPreemptive, Window: 1 << 16, SP: true, ER: true}, 0)
+	s := MustScheduler("x", cascadeTestConfig(), DispatcherConfig{Mode: ConditionallyPreemptive, Window: 1 << 16, SP: true, ER: true}, 0)
 	m := &Metrics{}
 	s.SetMetrics(m)
 	reqs := make([]*Request, 64)
@@ -139,7 +114,7 @@ func TestInstrumentedPathsNoAllocs(t *testing.T) {
 
 func TestAddBatchSteadyStateNoAllocs(t *testing.T) {
 	skipUnderRace(t)
-	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
+	s := MustScheduler("x", cascadeTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
 	batch := make([]*Request, 128)
 	for i := range batch {
 		batch[i] = &Request{ID: uint64(i), Priorities: []int{i % 8, 0, 0}, Deadline: 500_000, Cylinder: (i * 37) % 3832}

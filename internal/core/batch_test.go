@@ -83,7 +83,7 @@ func TestAddBatchLengthMismatchPanics(t *testing.T) {
 // identical values (one observeHead per batch vs per call with the same
 // head) and identical dispatch order.
 func TestSchedulerAddBatchMatchesAddLoop(t *testing.T) {
-	ecfg := shardedTestConfig()
+	ecfg := cascadeTestConfig()
 	loop := MustScheduler("a", ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0)
 	bulk := MustScheduler("b", ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0)
 	rng := rand.New(rand.NewSource(22))

@@ -1,10 +1,29 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"sfcsched/internal/sfc"
 )
+
+// cascadeTestConfig is a full three-stage cascade small enough for tests.
+func cascadeTestConfig() EncapsulatorConfig {
+	return EncapsulatorConfig{
+		Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8,
+		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
+		UseCylinder: true, R: 3, Cylinders: 3832,
+	}
+}
+
+func randomRequest(rng *rand.Rand, id uint64) *Request {
+	return &Request{
+		ID:         id,
+		Priorities: []int{rng.Intn(8), rng.Intn(8), rng.Intn(8)},
+		Deadline:   int64(rng.Intn(700_000)),
+		Cylinder:   rng.Intn(3832),
+	}
+}
 
 // Additional depth tests for cascade edge cases and stage interactions.
 

@@ -89,8 +89,9 @@ type DispatchStats struct {
 }
 
 // Dispatcher drains requests in characterization-value order under the
-// configured preemption policy. It is not safe for concurrent use; see
-// ShardedScheduler for a concurrent front-end.
+// configured preemption policy. It is not safe for concurrent use:
+// concurrent producers share one scheduler behind a lock, as the live
+// serve.Dispatcher does.
 type Dispatcher struct {
 	cfg    DispatcherConfig
 	q      Heap4[entry, entryCmp] // serving queue

@@ -10,7 +10,7 @@ import (
 // atomic instructions, so the Add/Next zero-allocation gates hold with
 // instrumentation enabled.
 //
-// By default every Dispatcher, Scheduler and ShardedScheduler reports into
+// By default every Dispatcher and Scheduler reports into
 // the process-wide DefaultMetrics aggregate, which needs no wiring: a
 // binary can register it once (see Metrics.Register) and observe all
 // scheduler activity in the process. Tests and multi-scheduler servers that
@@ -38,10 +38,6 @@ type Metrics struct {
 	// SweepProgress is the cumulative number of cylinders the head has
 	// swept (cyclically) on the SFC3 scan timeline.
 	SweepProgress obs.Gauge
-	// SweepSaturations counts sweep-timeline saturation events: the packed
-	// 48-bit progress field of ShardedScheduler reaching its ceiling (after
-	// which progress clamps rather than wrapping; see observeHead).
-	SweepSaturations obs.Counter
 
 	// DispatchWait is the distribution of simulated queueing delay: the
 	// time from a request's arrival to its dispatch, in the scheduler's
@@ -71,7 +67,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{"window_expansions", "ER blocking-window growth events", &m.WindowExpansions},
 		{"window_resets", "ER blocking-window resets", &m.WindowResets},
 		{"sweep_progress_cylinders", "cumulative cylinders swept on the scan timeline", &m.SweepProgress},
-		{"sweep_saturations", "sweep-timeline progress saturation events", &m.SweepSaturations},
 		{"dispatch_wait_us", "arrival-to-dispatch delay, microseconds", &m.DispatchWait},
 	} {
 		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {

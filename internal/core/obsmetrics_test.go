@@ -70,7 +70,7 @@ func TestDispatcherMetricsMirrorStats(t *testing.T) {
 }
 
 func TestSchedulerMetrics(t *testing.T) {
-	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
+	s := MustScheduler("x", cascadeTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
 	m := &Metrics{}
 	s.SetMetrics(m)
 	if s.Metrics() != m || s.Dispatcher().Metrics() != m {
@@ -106,33 +106,14 @@ func TestSchedulerMetrics(t *testing.T) {
 	}
 }
 
-func TestShardedSchedulerMetrics(t *testing.T) {
-	s := MustShardedScheduler("s", shardedTestConfig(), 4)
-	m := &Metrics{}
-	s.SetMetrics(m)
-
-	for i := 0; i < 8; i++ {
-		s.Add(&Request{ID: uint64(i), Priorities: []int{1, 0, 0}, Deadline: 500, Cylinder: i * 10, Arrival: 0}, 0, 0)
-	}
-	for s.Next(50, 0) != nil {
-	}
-	if m.Adds.Load() != 8 || m.Dispatches.Load() != 8 {
-		t.Errorf("Adds/Dispatches = %d/%d, want 8/8", m.Adds.Load(), m.Dispatches.Load())
-	}
-	if m.QueueDepthHiWater.Load() != 8 {
-		t.Errorf("QueueDepthHiWater = %d, want 8", m.QueueDepthHiWater.Load())
-	}
-	if m.DispatchWait.Count() != 8 {
-		t.Errorf("DispatchWait count = %d, want 8", m.DispatchWait.Count())
-	}
-}
-
-// TestMetricsScrapeUnderConcurrentDispatch is the -race gate for the new
-// concurrent path: a Prometheus scrape must be able to run while producer
-// goroutines Add and a consumer drains, without a data race or a torn read
-// crashing the exporter.
+// TestMetricsScrapeUnderConcurrentDispatch is the -race gate for the
+// concurrent path: a Prometheus scrape, which takes no scheduler lock, must
+// be able to run while producer goroutines Add and a consumer drains under
+// the caller's lock (as serve.Dispatcher feeds it), without a data race or
+// a torn read crashing the exporter.
 func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
-	s := MustShardedScheduler("s", shardedTestConfig(), 4)
+	s := MustScheduler("s", cascadeTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
+	var mu sync.Mutex
 	m := &Metrics{}
 	s.SetMetrics(m)
 	reg := obs.NewRegistry()
@@ -145,12 +126,14 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
+				mu.Lock()
 				s.Add(&Request{
 					ID:         uint64(p*perProducer + i),
 					Priorities: []int{i % 8, 0, 0},
 					Deadline:   500_000,
 					Cylinder:   (i * 37) % 3832,
 				}, int64(i), i%3832)
+				mu.Unlock()
 			}
 		}(p)
 	}
@@ -166,9 +149,11 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 	}()
 	drained := 0
 	for drained < producers*perProducer {
+		mu.Lock()
 		if s.Next(1000, drained%3832) != nil {
 			drained++
 		}
+		mu.Unlock()
 	}
 	wg.Wait()
 	<-done
@@ -211,7 +196,7 @@ func TestMetricsRegister(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if len(snap) != 11 {
-		t.Errorf("snapshot has %d metrics, want 11", len(snap))
+	if len(snap) != 10 {
+		t.Errorf("snapshot has %d metrics, want 10", len(snap))
 	}
 }

@@ -54,6 +54,18 @@ func MustScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, 
 	return s
 }
 
+// NewShardedScheduler returns the fully preemptive Scheduler over ecfg
+// that NewScheduler(name, ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0)
+// builds; shards is ignored. Concurrent callers serialize through a lock of
+// their own, as serve.Dispatcher does.
+//
+// Deprecated: use NewScheduler. This shim remains only because the
+// benchmark module (perfbench) builds its serve-closed scheduler by this
+// name; it goes when that module switches to NewScheduler.
+func NewShardedScheduler(name string, ecfg EncapsulatorConfig, shards int) (*Scheduler, error) {
+	return NewScheduler(name, ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0)
+}
+
 // Name returns the scheduler's display name.
 func (s *Scheduler) Name() string { return s.name }
 

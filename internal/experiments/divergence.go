@@ -76,7 +76,7 @@ func divergencePrimary(levels int, horizon int64, windowFrac float64) (sched.Sch
 			UseDeadline: true, Curve2: cv,
 			DeadlineHorizon: horizon, DeadlineSlack: true,
 		},
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
+		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, windowFrac)
 }
 
 // Divergence sweeps offered load and reports, per shadow policy, the

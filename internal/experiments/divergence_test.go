@@ -42,7 +42,7 @@ func TestDivergenceShape(t *testing.T) {
 	// Genuinely different policies must disagree under load; rates live in
 	// [0, 100].
 	last := len(disagree.X) - 1
-	for _, name := range []string{"scan-edf", "fcfs"} {
+	for _, name := range []string{"scan-edf", "fcfs", "cascaded-w20"} {
 		ys := series(t, disagree, name)
 		if ys[last] <= 0 {
 			t.Errorf("%s never disagreed with the primary at top load", name)

@@ -17,10 +17,9 @@ import (
 // under the simulator's virtual clock, once under the live dispatcher on
 // the dilated wall clock — and fed the identical trace.
 type CalibrationConfig struct {
-	// Sched is the Cascaded-SFC configuration both sides schedule with.
+	// Sched is the Cascaded-SFC configuration both sides schedule with,
+	// fully preemptive (pure v_c order).
 	Sched core.EncapsulatorConfig
-	// Shards is the sharded scheduler's shard count (0 picks the default).
-	Shards int
 	// Service is the service-time model both sides charge. Rotational
 	// sampling is forced off: calibration needs both sides deterministic
 	// so every divergence is attributable to the serving path.
@@ -104,11 +103,10 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 
 	// Predict: the simulator's run, with per-request completion times and
 	// dispatch ranks captured off the trace hook.
-	simSched, err := core.NewShardedScheduler("calib-sim", cfg.Sched, cfg.Shards)
+	simSched, err := newCalibScheduler("calib-sim", cfg.Sched)
 	if err != nil {
 		return nil, err
 	}
-	simSched.SetMetrics(&core.Metrics{})
 	cal := &Calibration{}
 	simRecs := make(map[uint64]simRec, len(trace))
 	simRank := 0
@@ -146,11 +144,10 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	if err != nil {
 		return nil, err
 	}
-	liveSched, err := core.NewShardedScheduler("calib-live", cfg.Sched, cfg.Shards)
+	liveSched, err := newCalibScheduler("calib-live", cfg.Sched)
 	if err != nil {
 		return nil, err
 	}
-	liveSched.SetMetrics(&core.Metrics{})
 	d, err := New(Config{
 		Sched: liveSched, Backend: backend, Clock: clock,
 		InFlight: cfg.InFlight, MaxQueue: cfg.MaxQueue, DropLate: cfg.DropLate,
@@ -230,6 +227,18 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	cm.OrderPearsonPpm.Set(ratioPpm(cal.OrderPearson, -2_000_000))
 	cm.HeadTravelDeltaPpm.Set(ratioPpm(cal.HeadTravelDelta(), 0))
 	return cal, nil
+}
+
+// newCalibScheduler builds one side's fully preemptive cascaded scheduler,
+// reporting into a private sink so calibration runs leave the process-wide
+// scheduler counters alone.
+func newCalibScheduler(name string, ecfg core.EncapsulatorConfig) (*core.Scheduler, error) {
+	s, err := core.NewScheduler(name, ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.SetMetrics(&core.Metrics{})
+	return s, nil
 }
 
 // ratioPpm scales a float ratio into a parts-per-million gauge value,

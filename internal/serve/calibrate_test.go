@@ -18,7 +18,6 @@ func TestCalibrateExactOrderPreloaded(t *testing.T) {
 	trace := zeroArrivalTrace(96)
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
 		Sched:    serveConfig(),
-		Shards:   8,
 		Service:  disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation: 20_000,
 		InFlight: 1,
@@ -66,7 +65,6 @@ func TestCalibrateReplay(t *testing.T) {
 	cm := &CalibMetrics{}
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
 		Sched:    serveConfig(),
-		Shards:   8,
 		Service:  disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation: 50,
 		InFlight: 1,

@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/sched"
 )
 
 // Errors returned by the submission path.
 var (
-	// ErrClosed reports a submission refused because the scheduler ingress
-	// was closed (Drain or Stop has begun).
+	// ErrClosed reports a submission refused because the dispatcher's
+	// ingress was closed (Drain or Stop has begun).
 	ErrClosed = errors.New("serve: scheduler ingress closed")
 	// ErrNotStarted reports a submission before Start.
 	ErrNotStarted = errors.New("serve: dispatcher not started")
@@ -25,10 +26,13 @@ var (
 
 // Config configures a Dispatcher.
 type Config struct {
-	// Sched is the concurrent scheduler the dispatcher consumes. Required.
-	// The dispatcher owns the consumer side (Next/Close/Drain); any number
-	// of goroutines may feed it through Submit.
-	Sched *core.ShardedScheduler
+	// Sched is the queue discipline the dispatcher serves: the cascaded
+	// core.Scheduler or any baseline of package sched. Required. The
+	// dispatcher serializes every Add and Next under its own lock, so the
+	// scheduler need not be safe for concurrent use; any number of
+	// goroutines may feed it through Submit, and nothing else may touch it
+	// while the dispatcher runs.
+	Sched sched.Scheduler
 	// Backend executes dispatched requests. Required.
 	Backend Backend
 	// Clock is the dilated model clock submissions and dispatches are
@@ -81,9 +85,9 @@ type Record struct {
 	Abandoned bool
 }
 
-// Dispatcher is the real-clock serving loop: it pops requests from a
-// core.ShardedScheduler in characterization-value order and executes them
-// against a Backend, with a bounded number in flight. The zero value is
+// Dispatcher is the real-clock serving loop: it pops requests from its
+// scheduler in the scheduler's dispatch order and executes them against a
+// Backend, with a bounded number in flight. The zero value is
 // not usable; construct with New, then Start, Submit from any number of
 // goroutines, and shut down with Drain (graceful) or Stop (immediate).
 type Dispatcher struct {
@@ -113,6 +117,13 @@ type Dispatcher struct {
 	// up-to-date count.
 	outstanding atomic.Int64
 	draining    atomic.Bool
+
+	// mu serializes the scheduler: producers Add and the loop Next under
+	// it. closed shuts the ingress (Drain, Stop); producers check it under
+	// mu, so a submission racing shutdown is either queued before the
+	// close — and then served, or counted abandoned by Stop — or rejected.
+	mu     sync.Mutex
+	closed bool
 
 	head    atomic.Int64
 	travel  atomic.Int64
@@ -226,14 +237,20 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 			}
 		}
 	}
-	if !d.cfg.Sched.TryAdd(r, now, d.Head()) {
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
 		if d.quota != nil {
 			<-d.quota
 		}
 		d.m.Rejected.Inc()
 		return ErrClosed
 	}
+	d.cfg.Sched.Add(r, now, d.Head())
+	// Counted under mu: a Drain that closes after this Add must not see the
+	// dispatcher quiescent while the request is still queued.
 	d.outstanding.Add(1)
+	d.mu.Unlock()
 	d.m.Submitted.Inc()
 	d.wake()
 	return nil
@@ -245,11 +262,10 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 // expires first the remaining work is abandoned via Stop and ctx's error
 // is returned.
 func (d *Dispatcher) Drain(ctx context.Context) error {
+	d.close()
 	if !d.started.Load() {
-		d.cfg.Sched.Close()
 		return ErrNotStarted
 	}
-	d.cfg.Sched.Close()
 	d.draining.Store(true)
 	d.wake()
 	select {
@@ -265,23 +281,33 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 
 // Stop halts the dispatcher immediately: the ingress closes, in-flight
 // backend services are canceled and recorded as abandoned, and requests
-// still queued are counted abandoned as well. Stop blocks until the loop
-// and all workers have exited. Idempotent.
+// still queued are counted abandoned as well, exactly once. Stop blocks
+// until the loop and all workers have exited. Idempotent.
 func (d *Dispatcher) Stop() {
+	d.close()
 	if !d.started.Load() {
-		d.cfg.Sched.Close()
 		return
 	}
 	d.stop.Do(func() {
-		d.cfg.Sched.Close()
 		d.cancel()
-	})
-	<-d.stopped
-	d.workers.Wait()
-	if n := d.cfg.Sched.Drain(nil); n > 0 {
+		<-d.stopped
+		d.workers.Wait()
+		// The loop has exited and the ingress is shut, so the queue is
+		// final. Its requests stay in the scheduler; the Once keeps a
+		// second Stop from counting them again.
+		d.mu.Lock()
+		n := d.cfg.Sched.Len()
+		d.mu.Unlock()
 		d.m.Abandoned.Add(uint64(n))
 		d.outstanding.Add(int64(-n))
-	}
+	})
+}
+
+// close shuts the ingress: every later SubmitAt returns ErrClosed.
+func (d *Dispatcher) close() {
+	d.mu.Lock()
+	d.closed = true
+	d.mu.Unlock()
 }
 
 // Records returns a copy of the accumulated dispatch records in dispatch
@@ -345,7 +371,10 @@ func (d *Dispatcher) loop() {
 func (d *Dispatcher) take() (*core.Request, bool) {
 	for {
 		now := d.cfg.Clock.Now()
-		if r := d.cfg.Sched.Next(now, d.Head()); r != nil {
+		d.mu.Lock()
+		r := d.cfg.Sched.Next(now, d.Head())
+		d.mu.Unlock()
+		if r != nil {
 			if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
 				d.drop(r, now)
 				continue

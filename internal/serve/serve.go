@@ -1,13 +1,15 @@
 // Package serve lifts the Cascaded-SFC scheduler out of the simulator's
 // virtual clock and stands it up as a real concurrent service: goroutines
-// submit requests into a core.ShardedScheduler, a dispatcher pops them in
-// characterization-value order and executes each against a pluggable
-// Backend on the wall clock.
+// submit requests into a scheduler, a dispatcher pops them in the
+// scheduler's order and executes each against a pluggable Backend on the
+// wall clock.
 //
 // The layer split is policy / clock / backend:
 //
-//   - Policy: core.ShardedScheduler — the identical scheduler code the
-//     simulator drives, fed concurrently instead of from an event loop.
+//   - Policy: any sched.Scheduler — the cascaded core.Scheduler or one of
+//     the 13 baselines, the identical code the simulator drives. The
+//     Dispatcher serializes its Add and Next calls under one lock and owns
+//     the shutdown contract (Drain, Stop), so the policy stays serial.
 //   - Clock: Clock — wall time scaled by a dilation factor into the model's
 //     microsecond timeline, so a 65-second workload can be served in under
 //     a second (or stretched out for debugging) without touching policy or
