@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/core"
@@ -27,7 +26,6 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -131,9 +129,9 @@ func main() {
 
 	names := []string{opt.sched}
 	if opt.sched == "all" {
-		names = []string{"cascaded", "fcfs", "sstf", "scan", "cscan", "edf", "scan-edf",
-			"fd-scan", "scan-rt", "ssedo", "ssedv", "multi-queue", "bucket", "kamel"}
+		names = sched.Names()
 	}
+	params := opt.params(m)
 	var traceHook func(sim.TraceEvent)
 	if opt.dispatchOut != "" {
 		w, closeOut, err := outWriter(opt.dispatchOut)
@@ -174,7 +172,7 @@ func main() {
 	fmt.Println()
 	for _, name := range names {
 		if opt.clusterNodes > 0 {
-			res, err := runCluster(opt, m, name, trace, traceHook, telemetry)
+			res, err := runCluster(opt, params, name, trace, traceHook, telemetry)
 			if err != nil {
 				fatal(err)
 			}
@@ -200,11 +198,9 @@ func main() {
 		}
 		if array != nil {
 			ar, err := sim.RunArray(sim.ArrayConfig{
-				Array: array,
-				NewScheduler: func(int) (sched.Scheduler, error) {
-					return build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
-				},
-				Options: opts,
+				Array:        array,
+				NewScheduler: func(int) (sched.Scheduler, error) { return sched.New(name, params) },
+				Options:      opts,
 			}, trace)
 			if err != nil {
 				fatal(err)
@@ -220,12 +216,12 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		s, err := build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+		s, err := sched.New(name, params)
 		if err != nil {
 			fatal(err)
 		}
 		runOpts := opts
-		runOpts.Shadows, err = buildShadows(opt, m)
+		runOpts.Shadows, err = buildShadows(opt, params)
 		if err != nil {
 			fatal(err)
 		}
@@ -256,12 +252,12 @@ func main() {
 // runCluster simulates one scheduler across the -cluster topology: every
 // member disk runs its own instance, requests route and admit per the
 // -router and -admit policies.
-func runCluster(opt options, m *disk.Model, name string, trace []*core.Request,
+func runCluster(opt options, p sched.Params, name string, trace []*core.Request,
 	traceHook func(sim.TraceEvent), telemetry *sim.Telemetry) (*cluster.Result, error) {
 	cfg := cluster.Config{
-		Nodes: opt.clusterNodes, DisksPerNode: opt.clusterDisks, Disk: m,
+		Nodes: opt.clusterNodes, DisksPerNode: opt.clusterDisks, Disk: p.Disk,
 		NewScheduler: func(int, int) (sched.Scheduler, error) {
-			return build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+			return sched.New(name, p)
 		},
 		Classes:  opt.classes,
 		Seed:     opt.seed,
@@ -317,17 +313,10 @@ func outWriter(path string) (io.Writer, func(), error) {
 
 // buildShadows constructs the counterfactual shadow schedulers of the
 // -shadow flag, fresh per run (shadows are single-use).
-func buildShadows(opt options, m *disk.Model) ([]*sim.Shadow, error) {
-	if opt.shadowList == "" {
-		return nil, nil
-	}
+func buildShadows(opt options, p sched.Params) ([]*sim.Shadow, error) {
 	var shadows []*sim.Shadow
-	for _, name := range strings.Split(opt.shadowList, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		s, err := build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+	for _, name := range opt.shadowNames() {
+		s, err := sched.New(name, p)
 		if err != nil {
 			return nil, fmt.Errorf("-shadow %s: %w", name, err)
 		}
@@ -370,73 +359,6 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 		fdrop += c.FaultDropped
 	}
 	fmt.Printf(" %8d %8d", hits, fdrop)
-}
-
-// build constructs the named scheduler.
-func build(name string, m *disk.Model, curve string, f float64, r int, window float64, levels, dims int, horizon int64) (sched.Scheduler, error) {
-	est := m.ServiceTime
-	switch name {
-	case "cascaded":
-		cfg, err := cascadedConfig(m, curve, f, r, levels, dims, horizon)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheduler("cascaded", cfg,
-			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, window)
-	case "fcfs":
-		return sched.NewFCFS(), nil
-	case "sstf":
-		return sched.NewSSTF(), nil
-	case "scan":
-		return sched.NewSCAN(), nil
-	case "cscan":
-		return sched.NewCSCAN(), nil
-	case "edf":
-		return sched.NewEDF(), nil
-	case "scan-edf":
-		return sched.NewSCANEDF(50_000), nil
-	case "fd-scan":
-		return sched.NewFDSCAN(est), nil
-	case "scan-rt":
-		return sched.NewSCANRT(est), nil
-	case "ssedo":
-		return sched.NewSSEDO(0, 0), nil
-	case "ssedv":
-		return sched.NewSSEDV(0, 0), nil
-	case "multi-queue":
-		return sched.NewMultiQueue(levels), nil
-	case "bucket":
-		return sched.NewBUCKET(), nil
-	case "kamel":
-		return sched.NewKamel(est), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
-	}
-}
-
-// cascadedConfig translates the cascaded flags into the three-stage
-// encapsulator configuration. It is shared between build (the simulated
-// schedulers) and the -serve calibration path, so both sides of an
-// observe-predict-calibrate run schedule with exactly the same policy.
-func cascadedConfig(m *disk.Model, curve string, f float64, r int, levels, dims int, horizon int64) (core.EncapsulatorConfig, error) {
-	cv, err := sfc.New(curve, dims, uint32(levels))
-	if err != nil {
-		return core.EncapsulatorConfig{}, err
-	}
-	cfg := core.EncapsulatorConfig{Curve1: cv, Levels: levels}
-	if horizon > 0 {
-		cfg.UseDeadline = true
-		cfg.F = f
-		cfg.DeadlineHorizon = horizon
-		cfg.DeadlineSpan = horizon
-		cfg.DeadlineSlack = true
-	}
-	if r > 0 {
-		cfg.UseCylinder = true
-		cfg.R = r
-		cfg.Cylinders = m.Cylinders
-	}
-	return cfg, nil
 }
 
 func fatal(err error) {

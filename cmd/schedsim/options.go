@@ -3,10 +3,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
 
@@ -78,7 +81,7 @@ type options struct {
 
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, fcfs, sstf, scan, cscan, edf, scan-edf, fd-scan, scan-rt, ssedo, ssedv, multi-queue, bucket, kamel, or all")
+	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: "+strings.Join(sched.Names(), ", ")+", or all")
 	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve")
 	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor")
 	fs.IntVar(&o.r, "r", 3, "cascaded: SFC3 partitions (0 disables the seek stage)")
@@ -186,6 +189,14 @@ func (o *options) validate() error {
 	}
 	if o.arrayDisks > 0 && o.blockSize < 1 {
 		return fmt.Errorf("-block must be positive, got %d", o.blockSize)
+	}
+	if o.sched != "all" && !slices.Contains(sched.Names(), o.sched) {
+		return fmt.Errorf("unknown -sched %q (known: %s, all)", o.sched, strings.Join(sched.Names(), ", "))
+	}
+	for _, name := range o.shadowNames() {
+		if !slices.Contains(sched.Names(), name) {
+			return fmt.Errorf("unknown -shadow scheduler %q (known: %s)", name, strings.Join(sched.Names(), ", "))
+		}
 	}
 	if o.shadowList != "" && o.arrayDisks > 0 {
 		return fmt.Errorf("-shadow works on single-disk runs; array stations would need per-disk shadow sets")
@@ -304,6 +315,25 @@ func (o *options) validate() error {
 		}
 	}
 	return nil
+}
+
+// shadowNames splits the -shadow list, dropping blank entries.
+func (o *options) shadowNames() []string {
+	var names []string
+	for _, name := range strings.Split(o.shadowList, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// params gathers the scheduler flags into the registry's parameters.
+func (o *options) params(m *disk.Model) sched.Params {
+	return sched.Params{
+		Disk: m, Levels: o.levels, Dims: o.dims, Horizon: o.deadlineMax.Microseconds(),
+		Curve: o.curve, F: o.f, R: o.r, Window: o.window,
+	}
 }
 
 // faultPlan translates the fault flags into a plan, or nil when no fault

@@ -76,6 +76,10 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"replay with spec", []string{"-replay", "run.jsonl", "-spec", "mixed"}, "mutually exclusive"},
 		{"unknown spec", []string{"-spec", "tsunami"}, "-spec"},
 		{"spec zero requests", []string{"-spec", "flash", "-requests", "0"}, "-requests"},
+		{"unknown sched", []string{"-sched", "elevator"}, "unknown -sched"},
+		{"legacy kamel name", []string{"-sched", "kamel-ddmp"}, "unknown -sched"},
+		{"unknown shadow", []string{"-shadow", "scan-edf,elevator"}, "unknown -shadow"},
+		{"shadow all", []string{"-shadow", "all"}, "unknown -shadow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +111,7 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 		{"-serve"},
 		{"-serve", "-dilation", "0.5", "-inflight", "4", "-drop=false"},
 		{"-serve", "-curve", "zorder", "-r", "0", "-deadline-min", "0"},
+		{"-sched", "kamel", "-shadow", " scan-edf, ,fcfs,cascaded"},
 	}
 	for _, args := range cases {
 		if err := parse(t, args...).validate(); err != nil {

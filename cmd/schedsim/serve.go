@@ -17,7 +17,7 @@ import (
 // serves the identical trace on the dilated wall clock against the
 // emulated disk, and the report scores how well the prediction held.
 func runServeCalib(out io.Writer, opt options, m *disk.Model, trace []*core.Request) error {
-	ecfg, err := cascadedConfig(m, opt.curve, opt.f, opt.r, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+	ecfg, err := opt.params(m).CascadedConfig()
 	if err != nil {
 		return err
 	}

@@ -85,26 +85,20 @@ func main() {
 // schedulerFactory builds identical per-disk schedulers for the policy.
 func schedulerFactory(policy string, model *disk.Model) func(int) (sched.Scheduler, error) {
 	return func(diskID int) (sched.Scheduler, error) {
-		switch policy {
-		case "fcfs":
-			return sched.NewFCFS(), nil
-		case "edf":
-			return sched.NewEDF(), nil
-		case "cascaded-peano":
-			return core.NewScheduler(policy,
-				core.EncapsulatorConfig{
-					Levels:          levels,
-					UseDeadline:     true,
-					Curve2:          sfc.MustNew("peano", 2, levels),
-					DeadlineHorizon: deadlineMax,
-					DeadlineSlack:   true,
-					UseCylinder:     true,
-					R:               3,
-					Cylinders:       model.Cylinders,
-				},
-				core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-		default:
-			return nil, fmt.Errorf("unknown policy %q", policy)
+		if policy != "cascaded-peano" {
+			return sched.New(policy, sched.Params{Disk: model, Levels: levels})
 		}
+		return core.NewScheduler(policy,
+			core.EncapsulatorConfig{
+				Levels:          levels,
+				UseDeadline:     true,
+				Curve2:          sfc.MustNew("peano", 2, levels),
+				DeadlineHorizon: deadlineMax,
+				DeadlineSlack:   true,
+				UseCylinder:     true,
+				R:               3,
+				Cylinders:       model.Cylinders,
+			},
+			core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 	}
 }

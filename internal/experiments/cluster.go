@@ -125,7 +125,7 @@ func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
 		ia, pol := cfg.Interarrivals[i/nPol], clusterPolicies[i%nPol]
 		ccfg := cluster.Config{
 			Nodes: cfg.Nodes, DisksPerNode: cfg.DisksPerNode, Disk: model,
-			NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
+			NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.New("scan-edf", sched.Params{}) },
 			DropLate:     true, Seed: cfg.Seed, Classes: cfg.Classes,
 		}
 		// Routers and buckets are stateful: built fresh per cell so cells

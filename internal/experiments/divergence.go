@@ -49,23 +49,20 @@ func DefaultDivergenceConfig() DivergenceConfig {
 	}
 }
 
-// divergenceShadows lists the counterfactual policies ridden against the
-// cascaded primary: the paper's strongest baseline, the naive baseline,
-// and the cascaded scheduler itself with a 4x wider blocking window (the
-// knob §5.1 sweeps).
-func divergenceShadows(levels int, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"scan-edf", "fcfs", "cascaded-w20"}
-	return map[string]func() (sched.Scheduler, error){
-		"scan-edf":     func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"fcfs":         func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"cascaded-w20": func() (sched.Scheduler, error) { return divergencePrimary(levels, horizon, 0.20) },
-	}, names
+// newDivergenceShadow builds a shadow policy: cascaded-w20 is the
+// hilbert cascade at a 20% window, the baselines come from the registry.
+func newDivergenceShadow(name string, levels int, horizon int64) (sched.Scheduler, error) {
+	if name == "cascaded-w20" {
+		return hilbertCascade(levels, horizon, 0.20)
+	}
+	return sched.New(name, sched.Params{})
 }
 
-// divergencePrimary builds the cascaded scheduler of the faultsweep
-// experiment: hilbert over the (deadline, priority) plane, conditionally
-// preemptive, blocking window windowFrac of the value space.
-func divergencePrimary(levels int, horizon int64, windowFrac float64) (sched.Scheduler, error) {
+// hilbertCascade builds the 2-D cascaded scheduler the divergence and
+// faultsweep experiments share: hilbert over the (deadline, priority)
+// plane, conditionally preemptive with SP, blocking window windowFrac of
+// the value space.
+func hilbertCascade(levels int, horizon int64, windowFrac float64) (sched.Scheduler, error) {
 	cv, err := sfc.New("hilbert", 2, uint32(levels))
 	if err != nil {
 		return nil, err
@@ -91,7 +88,11 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	shadows, names := divergenceShadows(cfg.Levels, cfg.DeadlineMax)
+	// The counterfactual policies ridden against the cascaded primary: the
+	// paper's strongest baseline, the naive baseline, and the cascaded
+	// scheduler itself with a 4x wider blocking window (the knob §5.1
+	// sweeps).
+	names := []string{"scan-edf", "fcfs", "cascaded-w20"}
 
 	x := make([]float64, len(cfg.Interarrivals))
 	for i, ia := range cfg.Interarrivals {
@@ -137,13 +138,13 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		primary, err := divergencePrimary(cfg.Levels, cfg.DeadlineMax, 0.05)
+		primary, err := hilbertCascade(cfg.Levels, cfg.DeadlineMax, 0.05)
 		if err != nil {
 			return cellOut{}, err
 		}
 		shs := make([]*sim.Shadow, len(names))
 		for j, name := range names {
-			s, err := shadows[name]()
+			s, err := newDivergenceShadow(name, cfg.Levels, cfg.DeadlineMax)
 			if err != nil {
 				return cellOut{}, err
 			}

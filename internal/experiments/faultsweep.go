@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -77,30 +75,6 @@ func DefaultFaultSweepConfig() FaultSweepConfig {
 	}
 }
 
-// faultSweepAlgorithms builds the compared schedulers: the cascaded SFC
-// scheduler over the (deadline, priority) plane plus three baselines.
-func faultSweepAlgorithms(levels int, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"cascaded", "scan-edf", "edf", "cscan"}
-	return map[string]func() (sched.Scheduler, error){
-		"cascaded": func() (sched.Scheduler, error) {
-			cv, err := sfc.New("hilbert", 2, uint32(levels))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{
-					Levels:      levels,
-					UseDeadline: true, Curve2: cv,
-					DeadlineHorizon: horizon, DeadlineSlack: true,
-				},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
-		},
-		"scan-edf": func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"edf":      func() (sched.Scheduler, error) { return sched.NewEDF(), nil },
-		"cscan":    func() (sched.Scheduler, error) { return sched.NewCSCAN(), nil },
-	}, names
-}
-
 // FaultSweep sweeps the transient-fault rate over the degraded RAID-5
 // array. It returns two results on the same x-axis: the logical drop rate
 // (percent of requests lost to deadlines or exhausted retries) and the
@@ -118,7 +92,9 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	algs, names := faultSweepAlgorithms(cfg.Levels, cfg.DeadlineMax)
+	// The compared schedulers: the cascaded SFC scheduler over the
+	// (deadline, priority) plane at a 2% window plus three baselines.
+	names := []string{"cascaded", "scan-edf", "edf", "cscan"}
 
 	failNote := "no disk failure armed"
 	if cfg.FailAt > 0 {
@@ -193,7 +169,10 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 		ar, err := sim.RunArray(sim.ArrayConfig{
 			Array: array,
 			NewScheduler: func(int) (sched.Scheduler, error) {
-				return algs[name]()
+				if name == "cascaded" {
+					return hilbertCascade(cfg.Levels, cfg.DeadlineMax, 0.02)
+				}
+				return sched.New(name, sched.Params{})
 			},
 			Options: sim.Options{
 				DropLate: true, Dims: 1, Levels: cfg.Levels,

@@ -62,43 +62,41 @@ func DefaultFig11Config() Fig11Config {
 	}
 }
 
-// fig11Algorithms builds the five §6 schedulers. The 2-D curves map the
-// (priority, time-to-deadline) plane: Sweep-X puts priority on X so the
+// fig11Names lists the §6 schedulers: FCFS and six 2-D curves over the
+// (priority, time-to-deadline) plane. Sweep-X puts priority on X so the
 // sweep orders by deadline (EDF-like); Sweep-Y puts priority on Y so the
 // sweep orders by priority (multi-queue-like); Hilbert and Peano balance
-// both.
-func fig11Algorithms(cfg Fig11Config, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	mk2d := func(curve string, priorityOnY bool) func() (sched.Scheduler, error) {
-		return func() (sched.Scheduler, error) {
-			cv, err := sfc.New(curve, 2, uint32(cfg.Levels))
-			if err != nil {
-				return nil, err
-			}
-			// The 2-D grid is (time-to-deadline, priority) at enqueue: a
-			// stationary square, so curves like Hilbert and Peano serve the
-			// urgent-and-important corner first, which is the §6 trade-off
-			// behavior. The horizon is the largest relative deadline.
-			return core.NewScheduler(curve,
-				core.EncapsulatorConfig{
-					Levels:      cfg.Levels,
-					UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
-					DeadlineHorizon: horizon, DeadlineSlack: true,
-				},
-				core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
-		}
+// both. Moore closes the Hilbert loop, removing the open curve's
+// urgent-cell endpoint pathology (EXPERIMENTS.md).
+var fig11Names = []string{"fcfs", "sweep-x", "sweep-y", "hilbert", "peano", "diagonal", "moore"}
+
+// newFig11Scheduler builds one of fig11Names: FCFS from the registry, every
+// other name as a non-preemptive 2-D curve scheduler.
+func newFig11Scheduler(name string, levels int, horizon int64) (sched.Scheduler, error) {
+	curve, priorityOnY := name, false
+	switch name {
+	case "fcfs":
+		return sched.New(name, sched.Params{})
+	case "sweep-x":
+		curve = "sweep"
+	case "sweep-y":
+		curve, priorityOnY = "sweep", true
 	}
-	names := []string{"fcfs", "sweep-x", "sweep-y", "hilbert", "peano", "diagonal", "moore"}
-	return map[string]func() (sched.Scheduler, error){
-		"fcfs":     func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"sweep-x":  mk2d("sweep", false),
-		"sweep-y":  mk2d("sweep", true),
-		"hilbert":  mk2d("hilbert", false),
-		"peano":    mk2d("peano", false),
-		"diagonal": mk2d("diagonal", false),
-		// moore closes the Hilbert loop, removing the open curve's
-		// urgent-cell endpoint pathology (EXPERIMENTS.md).
-		"moore": mk2d("moore", false),
-	}, names
+	cv, err := sfc.New(curve, 2, uint32(levels))
+	if err != nil {
+		return nil, err
+	}
+	// The 2-D grid is (time-to-deadline, priority) at enqueue: a stationary
+	// square, so curves like Hilbert and Peano serve the urgent-and-important
+	// corner first, which is the §6 trade-off behavior. The horizon is the
+	// largest relative deadline.
+	return core.NewScheduler(curve,
+		core.EncapsulatorConfig{
+			Levels:      levels,
+			UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
+			DeadlineHorizon: horizon, DeadlineSlack: true,
+		},
+		core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
 }
 
 // Fig11 sweeps the number of concurrent editing streams and reports the
@@ -111,7 +109,7 @@ func Fig11(cfg Fig11Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs, names := fig11Algorithms(cfg, cfg.DeadlineMax)
+	names := fig11Names
 	weights := metrics.LinearWeights(cfg.Levels, cfg.CostRatio)
 
 	xs := make([]float64, len(cfg.Users))
@@ -157,7 +155,7 @@ func Fig11(cfg Fig11Config) (*Result, error) {
 	// loop this replaces.
 	nAlg := len(names)
 	costs, err := runner.Map(cfg.Workers, len(cfg.Users)*nAlg, func(i int) (float64, error) {
-		s, err := algs[names[i%nAlg]]()
+		s, err := newFig11Scheduler(names[i%nAlg], cfg.Levels, cfg.DeadlineMax)
 		if err != nil {
 			return 0, err
 		}

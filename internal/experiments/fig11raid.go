@@ -31,7 +31,7 @@ func Fig11RAID(cfg Fig11Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs, names := fig11Algorithms(cfg, cfg.DeadlineMax)
+	names := fig11Names
 	weights := metrics.LinearWeights(cfg.Levels, cfg.CostRatio)
 
 	xs := make([]float64, len(cfg.Users))
@@ -82,7 +82,7 @@ func Fig11RAID(cfg Fig11Config) (*Result, error) {
 		ar, err := sim.RunArray(sim.ArrayConfig{
 			Array: array,
 			NewScheduler: func(int) (sched.Scheduler, error) {
-				return algs[name]()
+				return newFig11Scheduler(name, cfg.Levels, cfg.DeadlineMax)
 			},
 			Options: sim.Options{DropLate: true, Dims: 1, Levels: cfg.Levels, Seed: cfg.Seed},
 		}, traces[i/nAlg])

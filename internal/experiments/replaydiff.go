@@ -36,20 +36,15 @@ func DefaultReplayDiffConfig() ReplayDiffConfig {
 	return ReplayDiffConfig{Seed: 1, Requests: 3000, Scenarios: workload.Scenarios()}
 }
 
-// replayDiffSchedulers lists the disciplines the round trip is checked
-// under: the cascaded scheduler (stateful SFC stages, the hardest case),
-// the paper's strongest baseline, and the naive baseline.
-func replayDiffSchedulers() (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"cascaded", "scan-edf", "fcfs"}
-	return map[string]func() (sched.Scheduler, error){
-		"cascaded": func() (sched.Scheduler, error) {
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
-		},
-		"scan-edf": func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"fcfs":     func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-	}, names
+// newReplayDiffScheduler builds a round-trip policy: cascaded is a 1-D
+// deadline cascade at a 5% window, the baselines come from the registry.
+func newReplayDiffScheduler(name string) (sched.Scheduler, error) {
+	if name == "cascaded" {
+		return core.NewScheduler("cascaded",
+			core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
+			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
+	}
+	return sched.New(name, sched.Params{})
 }
 
 // ReplayDiff runs the scenarios and reports two results over the scenario
@@ -66,7 +61,10 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scheds, names := replayDiffSchedulers()
+	// The disciplines the round trip is checked under: the cascaded
+	// scheduler (stateful SFC stages, the hardest case), the paper's
+	// strongest baseline, and the naive baseline.
+	names := []string{"cascaded", "scan-edf", "fcfs"}
 
 	x := make([]float64, len(cfg.Scenarios))
 	notes := []string{fmt.Sprintf("%d requests per scenario; scenario axis:", cfg.Requests)}
@@ -104,7 +102,7 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 		out := cellOut{drop: make([]float64, len(names)), diverge: make([]float64, len(names))}
 		for j, name := range names {
 			record := func(reqs []*core.Request, buf *bytes.Buffer) error {
-				s, err := scheds[name]()
+				s, err := newReplayDiffScheduler(name)
 				if err != nil {
 					return err
 				}

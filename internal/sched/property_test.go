@@ -12,8 +12,7 @@ import (
 // including the §4.3 extensions and the Cascaded-SFC scheduler itself.
 func allSchedulers(t *testing.T) map[string]Scheduler {
 	t.Helper()
-	est := testEstimator()
-	km, err := NewKamelMulti(est, sfc.MustNew("hilbert", 2, 8), 8, 16)
+	km, err := NewKamelMulti(testEstimator(), sfc.MustNew("hilbert", 2, 8), 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,25 +29,18 @@ func allSchedulers(t *testing.T) map[string]Scheduler {
 		UseDeadline: true, F: 1, DeadlineHorizon: 1 << 40, DeadlineSpan: 700_000,
 		UseCylinder: true, R: 3, Cylinders: 3832,
 	}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true, ER: true}, 0.05)
-	return map[string]Scheduler{
-		"fcfs":        NewFCFS(),
-		"sstf":        NewSSTF(),
-		"scan":        NewSCAN(),
-		"cscan":       NewCSCAN(),
-		"edf":         NewEDF(),
-		"scan-edf":    NewSCANEDF(50_000),
-		"fd-scan":     NewFDSCAN(est),
-		"scan-rt":     NewSCANRT(est),
-		"ssedo":       NewSSEDO(0, 0),
-		"ssedv":       NewSSEDV(0, 0),
-		"multi-queue": NewMultiQueue(8),
-		"bucket":      NewBUCKET(),
-		"kamel":       NewKamel(est),
+	all := map[string]Scheduler{
 		"kamel-multi": km,
 		"mq-multi":    mqm,
 		"bucket-seek": bs,
 		"cascaded":    cascaded,
 	}
+	for _, name := range Names() {
+		if name != "cascaded" {
+			all[name] = MustNew(name, testParams())
+		}
+	}
+	return all
 }
 
 // TestAllSchedulersConserveRequests drives every scheduler with random

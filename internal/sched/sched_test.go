@@ -11,22 +11,6 @@ import (
 // baselines so the simulator can drive either.
 var _ Scheduler = (*core.Scheduler)(nil)
 
-var allConstructors = []func() Scheduler{
-	func() Scheduler { return NewFCFS() },
-	func() Scheduler { return NewSSTF() },
-	func() Scheduler { return NewSCAN() },
-	func() Scheduler { return NewCSCAN() },
-	func() Scheduler { return NewEDF() },
-	func() Scheduler { return NewSCANEDF(50_000) },
-	func() Scheduler { return NewFDSCAN(testEstimator()) },
-	func() Scheduler { return NewSCANRT(testEstimator()) },
-	func() Scheduler { return NewSSEDO(0, 0) },
-	func() Scheduler { return NewSSEDV(0, 0) },
-	func() Scheduler { return NewMultiQueue(8) },
-	func() Scheduler { return NewBUCKET() },
-	func() Scheduler { return NewKamel(testEstimator()) },
-}
-
 func testEstimator() Estimator {
 	m := disk.MustModel(disk.QuantumXP32150Params())
 	return m.ServiceTime
@@ -37,8 +21,8 @@ func rq(id uint64, cyl int, deadline int64) *core.Request {
 }
 
 func TestAllSchedulersBasicContract(t *testing.T) {
-	for _, mk := range allConstructors {
-		s := mk()
+	for _, name := range Names() {
+		s := MustNew(name, testParams())
 		if s.Name() == "" {
 			t.Errorf("%T: empty name", s)
 		}

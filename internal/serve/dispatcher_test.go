@@ -33,34 +33,14 @@ func newCascaded(dcfg core.DispatcherConfig, windowFrac float64) *core.Scheduler
 	return s
 }
 
-// policy builds one of the 14 schedulers the live dispatcher must serve.
-type policy struct {
-	name  string
-	build func() sched.Scheduler
-}
-
-// policies lists the cascaded scheduler, conditionally preemptive with SP
-// at a 2% window, and the 13 baselines with schedsim's default parameters.
-func policies(model *disk.Model) []policy {
-	est := model.ServiceTime
-	return []policy{
-		{"cascaded", func() sched.Scheduler {
-			return newCascaded(core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
-		}},
-		{"fcfs", func() sched.Scheduler { return sched.NewFCFS() }},
-		{"sstf", func() sched.Scheduler { return sched.NewSSTF() }},
-		{"scan", func() sched.Scheduler { return sched.NewSCAN() }},
-		{"cscan", func() sched.Scheduler { return sched.NewCSCAN() }},
-		{"edf", func() sched.Scheduler { return sched.NewEDF() }},
-		{"scan-edf", func() sched.Scheduler { return sched.NewSCANEDF(50_000) }},
-		{"fd-scan", func() sched.Scheduler { return sched.NewFDSCAN(est) }},
-		{"scan-rt", func() sched.Scheduler { return sched.NewSCANRT(est) }},
-		{"ssedo", func() sched.Scheduler { return sched.NewSSEDO(0, 0) }},
-		{"ssedv", func() sched.Scheduler { return sched.NewSSEDV(0, 0) }},
-		{"multi-queue", func() sched.Scheduler { return sched.NewMultiQueue(8) }},
-		{"bucket", func() sched.Scheduler { return sched.NewBUCKET() }},
-		{"kamel", func() sched.Scheduler { return sched.NewKamel(est) }},
+// newPolicy builds one of the 14 registry policies the live dispatcher
+// must serve: cascaded conditionally preemptive with SP at a 2% window
+// over serveConfig, the 13 baselines at their registry defaults.
+func newPolicy(model *disk.Model, name string) sched.Scheduler {
+	if name == "cascaded" {
+		return newCascaded(core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
 	}
+	return sched.MustNew(name, sched.Params{Disk: model, Levels: 8})
 }
 
 // reqAt builds one test request with a far-off deadline.
@@ -244,13 +224,13 @@ func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
 // guarantee is independent of the in-flight bound.
 func TestDispatcherExactSimOrder(t *testing.T) {
 	model := disk.MustModel(disk.QuantumXP32150Params())
-	for _, p := range policies(model) {
+	for _, name := range sched.Names() {
 		for _, inflight := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/inflight%d", p.name, inflight), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/inflight%d", name, inflight), func(t *testing.T) {
 				trace := zeroArrivalTrace(96)
 				var simOrder []uint64
 				if _, err := sim.Run(sim.Config{
-					Disk: model, Scheduler: p.build(),
+					Disk: model, Scheduler: newPolicy(model, name),
 					Options: sim.Options{Trace: func(ev sim.TraceEvent) {
 						if !ev.Dropped {
 							simOrder = append(simOrder, ev.Request.ID)
@@ -265,7 +245,7 @@ func TestDispatcherExactSimOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, _ := newTestDispatcher(t, Config{Sched: p.build(), Backend: be, Clock: clock, InFlight: inflight})
+				d, _ := newTestDispatcher(t, Config{Sched: newPolicy(model, name), Backend: be, Clock: clock, InFlight: inflight})
 				if err := Preload(context.Background(), d, trace); err != nil {
 					t.Fatalf("Preload: %v", err)
 				}

@@ -221,12 +221,7 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 			Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 400_000,
 			Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
 		}.MustGenerate()
-		mkShadow := [](func() sched.Scheduler){
-			func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-			func() sched.Scheduler { return sched.NewFCFS() },
-			func() sched.Scheduler { return sched.NewSSTF() },
-			func() sched.Scheduler { return sched.NewEDF() },
-		}
+		shadows := []string{"scan-edf", "fcfs", "sstf", "edf"}
 		run := func(attach bool) ([]flatEvent, *Result) {
 			var events []flatEvent
 			cfg := Config{Disk: m, Scheduler: sched.NewCSCAN(),
@@ -238,8 +233,8 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 				cfg.Decisions = dt
 				cfg.Telemetry = NewTelemetry(40_000)
 				cfg.Telemetry.SetMetrics(&DecisionMetrics{})
-				a := NewShadow("a", mkShadow[int(shadowSel)%len(mkShadow)]())
-				b := NewShadow("b", mkShadow[int(shadowSel+1)%len(mkShadow)]())
+				a := NewShadow("a", sched.MustNew(shadows[int(shadowSel)%len(shadows)], sched.Params{}))
+				b := NewShadow("b", sched.MustNew(shadows[int(shadowSel+1)%len(shadows)], sched.Params{}))
 				a.SetMetrics(&DecisionMetrics{})
 				b.SetMetrics(&DecisionMetrics{})
 				cfg.Shadows = []*Shadow{a, b}

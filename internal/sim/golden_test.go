@@ -17,23 +17,9 @@ import (
 )
 
 // goldenSchedulers builds every queue discipline the simulator can drive:
-// the 13 baselines plus the Cascaded-SFC scheduler.
+// the 13 registry baselines plus two pinned Cascaded-SFC configurations.
 func goldenSchedulers(m *disk.Model) map[string]func() sched.Scheduler {
-	est := m.ServiceTime
-	return map[string]func() sched.Scheduler{
-		"fcfs":        func() sched.Scheduler { return sched.NewFCFS() },
-		"sstf":        func() sched.Scheduler { return sched.NewSSTF() },
-		"scan":        func() sched.Scheduler { return sched.NewSCAN() },
-		"cscan":       func() sched.Scheduler { return sched.NewCSCAN() },
-		"edf":         func() sched.Scheduler { return sched.NewEDF() },
-		"scan-edf":    func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-		"fd-scan":     func() sched.Scheduler { return sched.NewFDSCAN(est) },
-		"scan-rt":     func() sched.Scheduler { return sched.NewSCANRT(est) },
-		"ssedo":       func() sched.Scheduler { return sched.NewSSEDO(0, 0) },
-		"ssedv":       func() sched.Scheduler { return sched.NewSSEDV(0, 0) },
-		"multi-queue": func() sched.Scheduler { return sched.NewMultiQueue(8) },
-		"bucket":      func() sched.Scheduler { return sched.NewBUCKET() },
-		"kamel":       func() sched.Scheduler { return sched.NewKamel(est) },
+	mks := map[string]func() sched.Scheduler{
 		"cascaded": func() sched.Scheduler {
 			return core.MustScheduler("cascaded",
 				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
@@ -53,6 +39,12 @@ func goldenSchedulers(m *disk.Model) map[string]func() sched.Scheduler {
 				0.05)
 		},
 	}
+	for _, name := range sched.Names() {
+		if name != "cascaded" {
+			mks[name] = func() sched.Scheduler { return sched.MustNew(name, sched.Params{Disk: m, Levels: 8}) }
+		}
+	}
+	return mks
 }
 
 // dispatcherStats digs the internal dispatcher counters out of a cascaded
@@ -185,17 +177,7 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories := map[string]func(int) (sched.Scheduler, error){
-		"fcfs": func(int) (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"edf":  func(int) (sched.Scheduler, error) { return sched.NewEDF(), nil },
-		"scan": func(int) (sched.Scheduler, error) { return sched.NewSCAN(), nil },
-		"cascaded": func(int) (sched.Scheduler, error) {
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true},
-				0.05)
-		},
-	}
+	golden := goldenSchedulers(m)
 	scenarios := []struct {
 		name string
 		opts Options
@@ -204,7 +186,8 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}},
 		{"sampled-drop", Options{DropLate: true, SampleRotation: true, Dims: 1, Levels: 8, Seed: 5}},
 	}
-	for name, mk := range factories {
+	for _, name := range []string{"fcfs", "edf", "scan", "cascaded"} {
+		mk := func(int) (sched.Scheduler, error) { return golden[name](), nil }
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("%s/%s", name, sc.name), func(t *testing.T) {
 				trace := goldenArrayTrace(3, array)

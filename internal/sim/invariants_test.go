@@ -9,29 +9,18 @@ import (
 	"sfcsched/internal/workload"
 )
 
-// invariantSchedulers builds the policies exercised by the cross-cutting
-// invariant tests.
-func invariantSchedulers() map[string]func() sched.Scheduler {
-	est := xp().ServiceTime
-	return map[string]func() sched.Scheduler{
-		"fcfs":     func() sched.Scheduler { return sched.NewFCFS() },
-		"sstf":     func() sched.Scheduler { return sched.NewSSTF() },
-		"scan":     func() sched.Scheduler { return sched.NewSCAN() },
-		"cscan":    func() sched.Scheduler { return sched.NewCSCAN() },
-		"edf":      func() sched.Scheduler { return sched.NewEDF() },
-		"scan-edf": func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-		"fd-scan":  func() sched.Scheduler { return sched.NewFDSCAN(est) },
-		"scan-rt":  func() sched.Scheduler { return sched.NewSCANRT(est) },
-		"kamel":    func() sched.Scheduler { return sched.NewKamel(est) },
-		"cascaded": func() sched.Scheduler {
-			return core.MustScheduler("cascaded", core.EncapsulatorConfig{
-				Curve1: sfc.MustNew("peano", 2, 9), Levels: 8,
-				UseDeadline: true, F: 1, DeadlineHorizon: 700_000,
-				DeadlineSpan: 700_000, DeadlineSlack: true,
-				UseCylinder: true, R: 3, Cylinders: 3832,
-			}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
-		},
+// invariantScheduler builds a registry policy for the cross-cutting
+// invariant tests; "cascaded" is a pinned peano configuration.
+func invariantScheduler(name string) sched.Scheduler {
+	if name == "cascaded" {
+		return core.MustScheduler("cascaded", core.EncapsulatorConfig{
+			Curve1: sfc.MustNew("peano", 2, 9), Levels: 8,
+			UseDeadline: true, F: 1, DeadlineHorizon: 700_000,
+			DeadlineSpan: 700_000, DeadlineSlack: true,
+			UseCylinder: true, R: 3, Cylinders: 3832,
+		}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
 	}
+	return sched.MustNew(name, sched.Params{Disk: xp(), Levels: 8})
 }
 
 // TestRunInvariants checks, for every scheduler under both drop modes:
@@ -43,10 +32,10 @@ func TestRunInvariants(t *testing.T) {
 		Dims: 2, Levels: 8, DeadlineMin: 200_000, DeadlineMax: 700_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 64 << 10,
 	}.MustGenerate()
-	for name, mk := range invariantSchedulers() {
+	for _, name := range sched.Names() {
 		for _, drop := range []bool{false, true} {
 			res := MustRun(Config{
-				Disk: xp(), Scheduler: mk(),
+				Disk: xp(), Scheduler: invariantScheduler(name),
 				Options: Options{DropLate: drop, Dims: 2, Levels: 8, Seed: 3},
 			}, trace)
 			if res.Arrived != uint64(len(trace)) {
@@ -134,7 +123,7 @@ func TestCascadedFullStackAgainstBaselines(t *testing.T) {
 	run := func(s sched.Scheduler, drop bool) *Result {
 		return MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: drop, Dims: 3, Levels: 8, Seed: 5}}, trace)
 	}
-	cascaded := run(invariantSchedulers()["cascaded"](), true)
+	cascaded := run(invariantScheduler("cascaded"), true)
 	fcfs := run(sched.NewFCFS(), true)
 	edf := run(sched.NewEDF(), true)
 	if cascaded.TotalMisses() >= fcfs.TotalMisses() {
@@ -146,7 +135,7 @@ func TestCascadedFullStackAgainstBaselines(t *testing.T) {
 	// Inversions are compared under the §5 semantics (no dropping): with
 	// DropLate each scheduler serves a different request subset, so raw
 	// counts are not comparable — only the shared served set is.
-	cascadedND := run(invariantSchedulers()["cascaded"](), false)
+	cascadedND := run(invariantScheduler("cascaded"), false)
 	fcfsND := run(sched.NewFCFS(), false)
 	if cascadedND.TotalInversions() >= fcfsND.TotalInversions() {
 		t.Errorf("cascaded inversions %d >= FCFS %d", cascadedND.TotalInversions(), fcfsND.TotalInversions())
