@@ -287,7 +287,8 @@ func (d *Dispatcher) promote() {
 }
 
 // Each visits every queued request (serving and waiting queues, not the
-// in-service one). Metrics use it to sample priority inversions.
+// in-service one). Decision tracing and telemetry use it to inspect the
+// queue.
 func (d *Dispatcher) Each(visit func(*Request)) {
 	for _, e := range d.q.Slice() {
 		visit(e.req)

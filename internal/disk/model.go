@@ -41,9 +41,10 @@ type Model struct {
 
 	zoneOfCyl []int16 // cylinder -> zone lookup
 
-	// sqrtSeek, when set via UseSqrtSeek, replaces the power curve with
-	// the paper's literal a + b*sqrt(d) model.
-	sqrtSeek *SqrtSeek
+	// seekTable[d] is the seek time over a distance of d cylinders, for
+	// every d in [0, Cylinders): the power curve from NewModel, or the
+	// sqrt model once UseSqrtSeek installs it.
+	seekTable []int64
 }
 
 // Params bundles the calibration inputs for NewModel.
@@ -114,6 +115,11 @@ func NewModel(p Params) (*Model, error) {
 	}
 	m.gamma = calibrateGamma(p.MinSeek, p.MaxSeek, p.AvgSeek)
 	m.buildZones(p.ZoneCount, p.OuterSPT, p.InnerSPT)
+	m.seekTable = make([]int64, m.Cylinders)
+	for d := 1; d < m.Cylinders; d++ {
+		u := float64(d) / float64(m.Cylinders-1)
+		m.seekTable[d] = m.MinSeek + int64(float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))
+	}
 	return m, nil
 }
 
@@ -183,22 +189,16 @@ func (m *Model) checkCyl(cyl int) {
 }
 
 // SeekTime returns the head-movement time from cylinder from to cylinder
-// to, in microseconds. Zero distance costs nothing.
+// to, in microseconds. Zero distance costs nothing. The curve is
+// tabulated per distance when the model is built, so a seek is one load.
 func (m *Model) SeekTime(from, to int) int64 {
 	m.checkCyl(from)
 	m.checkCyl(to)
-	if m.sqrtSeek != nil {
-		return m.sqrtSeek.Time(from, to)
-	}
 	d := from - to
 	if d < 0 {
 		d = -d
 	}
-	if d == 0 {
-		return 0
-	}
-	u := float64(d) / float64(m.Cylinders-1)
-	return m.MinSeek + int64(float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))
+	return m.seekTable[d]
 }
 
 // RevolutionTime returns the time of one full platter revolution.

@@ -68,9 +68,13 @@ func (s *SqrtSeek) Mean() float64 {
 func (s *SqrtSeek) Max() int64 { return s.Time(0, s.Cylinders-1) }
 
 // UseSqrtSeek swaps the model's seek curve for the sqrt model: SeekTime
-// calls delegate to it while everything else (zones, rotation, transfer)
-// is unchanged. It returns the model for chaining.
+// returns s.Time over every distance while everything else (zones,
+// rotation, transfer) is unchanged. It returns the model for chaining.
 func (m *Model) UseSqrtSeek(s *SqrtSeek) *Model {
-	m.sqrtSeek = s
+	table := make([]int64, m.Cylinders)
+	for d := range table {
+		table[d] = s.Time(0, d)
+	}
+	m.seekTable = table
 	return m
 }

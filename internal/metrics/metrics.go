@@ -7,16 +7,30 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/stats"
 )
 
 // Collector accumulates run metrics. Create one per simulation run.
+//
+// Inversions are counted without walking the queue. The collector mirrors
+// the queue it observes (OnEnqueue/OnDequeue) as a per-dimension
+// histogram of pending requests by level, so a dispatch's §5.1 count is a
+// prefix sum over at most Levels() buckets per dimension. Inversions
+// compare raw levels: a level outside [0, Levels()) is kept as is, beside
+// the histogram, and counts against every in-range level it is strictly
+// below. The miss and request tables instead clamp such a level into the
+// nearest tracked one.
 type Collector struct {
 	dims   int
 	levels int
+
+	// pending[k*levels+l] counts the queued requests whose level in
+	// dimension k is l; outside holds the queued levels that fall outside
+	// [0, levels), nil when there are none.
+	pending []uint64
+	outside []outsideLevel
 
 	// InversionsPerDim[k] counts, summed over every dispatch, the pending
 	// requests that had strictly higher priority than the dispatched one
@@ -50,6 +64,9 @@ type Collector struct {
 	WaitingTimes stats.Summary
 }
 
+// outsideLevel is one queued out-of-range level of dimension dim.
+type outsideLevel struct{ dim, level int }
+
 // NewCollector returns a collector for requests with the given number of
 // priority dimensions and levels per dimension.
 func NewCollector(dims, levels int) *Collector {
@@ -62,6 +79,7 @@ func NewCollector(dims, levels int) *Collector {
 	c := &Collector{
 		dims:                dims,
 		levels:              levels,
+		pending:             make([]uint64, dims*levels),
 		InversionsPerDim:    make([]uint64, dims),
 		MissesPerDimLevel:   make([][]uint64, dims),
 		RequestsPerDimLevel: make([][]uint64, dims),
@@ -76,8 +94,11 @@ func NewCollector(dims, levels int) *Collector {
 // Reset clears every counter in place, retaining the per-dimension slices
 // and the waiting-time sample buffer, so a collector can be recycled
 // across runs (sim.Reuse) instead of reallocated. The dims/levels shape is
-// unchanged; a run needing a different shape needs a new collector.
+// unchanged; a run needing a different shape needs a new collector. The
+// queue mirror is emptied too: a reset collector observes an empty queue.
 func (c *Collector) Reset() {
+	clear(c.pending)
+	c.outside = nil
 	clear(c.InversionsPerDim)
 	for k := range c.MissesPerDimLevel {
 		clear(c.MissesPerDimLevel[k])
@@ -95,7 +116,8 @@ func (c *Collector) Dims() int { return c.dims }
 // Levels returns the number of priority levels per dimension.
 func (c *Collector) Levels() int { return c.levels }
 
-// clampLevel folds out-of-range levels into the tracked range.
+// clampLevel folds out-of-range levels into the tracked range for the miss
+// and request tables; inversion counting keeps the raw level.
 func (c *Collector) clampLevel(l int) int {
 	if l < 0 {
 		return 0
@@ -114,42 +136,74 @@ func (c *Collector) OnArrival(r *core.Request) {
 	}
 }
 
-// dispatchVisitor is a reusable binding of (collector, dispatched request)
-// for the OnDispatch queue walk. A closure literal capturing them would be
-// heap-allocated on every dispatch — the simulator's dominant allocation —
-// so the closure is built once per pooled visitor (capturing only the
-// visitor itself) and rebound through the struct fields.
-type dispatchVisitor struct {
-	c     *Collector
-	r     *core.Request
-	visit func(*core.Request)
+// OnEnqueue records that r joined the queue whose dispatches this
+// collector counts: r becomes a candidate for §5.1 inversions until
+// OnDequeue removes it. In-range levels go to the per-dimension
+// histogram; out-of-range ones are kept raw, because inversions compare
+// raw levels.
+func (c *Collector) OnEnqueue(r *core.Request) {
+	for k := 0; k < c.dims && k < len(r.Priorities); k++ {
+		l := r.Priorities[k]
+		if l >= 0 && l < c.levels {
+			c.pending[k*c.levels+l]++
+			continue
+		}
+		c.outside = append(c.outside, outsideLevel{dim: k, level: l})
+	}
 }
 
-var visitorPool = sync.Pool{New: func() any {
-	v := &dispatchVisitor{}
-	v.visit = func(w *core.Request) {
-		c, r := v.c, v.r
-		for k := 0; k < c.dims && k < len(w.Priorities) && k < len(r.Priorities); k++ {
-			if w.Priorities[k] < r.Priorities[k] {
-				c.InversionsPerDim[k]++
-			}
+// OnDequeue records that r left the queue, whether it is about to be
+// dispatched, dropped or re-routed. Every OnEnqueue needs exactly one
+// OnDequeue.
+func (c *Collector) OnDequeue(r *core.Request) {
+	for k := 0; k < c.dims && k < len(r.Priorities); k++ {
+		l := r.Priorities[k]
+		if l >= 0 && l < c.levels {
+			c.pending[k*c.levels+l]--
+			continue
+		}
+		c.removeOutside(k, l)
+	}
+}
+
+// removeOutside forgets one queued out-of-range level l of dimension k.
+// The slice returns to nil once empty, so a drained collector compares
+// equal to a fresh one.
+func (c *Collector) removeOutside(k, l int) {
+	for i, o := range c.outside {
+		if o.dim == k && o.level == l {
+			last := len(c.outside) - 1
+			c.outside[i] = c.outside[last]
+			c.outside = c.outside[:last]
+			break
 		}
 	}
-	return v
-}}
-
-// OnDispatch records the dispatch of r while the requests visited by
-// pending are still queued; it accumulates the per-dimension priority
-// inversions caused by serving r ahead of them.
-func (c *Collector) OnDispatch(r *core.Request, pending func(func(*core.Request))) {
-	if c.dims == 0 {
-		return
+	if len(c.outside) == 0 {
+		c.outside = nil
 	}
-	v := visitorPool.Get().(*dispatchVisitor)
-	v.c, v.r = c, r
-	pending(v.visit)
-	v.c, v.r = nil, nil
-	visitorPool.Put(v)
+}
+
+// OnDispatch records the dispatch of r, which OnDequeue has already taken
+// out of the queue. It accumulates the per-dimension priority inversions
+// caused by serving r ahead of the requests still queued: in dimension k,
+// those with a strictly lower level than r.Priorities[k], counted over
+// the dimensions both carry. The count is a prefix sum of the level
+// histogram plus a scan of the (normally empty) out-of-range levels, so
+// it costs O(dims·levels) whatever the queue depth.
+func (c *Collector) OnDispatch(r *core.Request) {
+	for k := 0; k < c.dims && k < len(r.Priorities); k++ {
+		p := r.Priorities[k]
+		var n uint64
+		for _, v := range c.pending[k*c.levels : k*c.levels+max(0, min(p, c.levels))] {
+			n += v
+		}
+		for _, o := range c.outside {
+			if o.dim == k && o.level < p {
+				n++
+			}
+		}
+		c.InversionsPerDim[k] += n
+	}
 }
 
 // OnServed records a completed service.

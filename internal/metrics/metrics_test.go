@@ -16,11 +16,10 @@ func TestInversionCounting(t *testing.T) {
 		{Priorities: []int{0, 0}}, // higher in both
 		{Priorities: []int{6, 6}}, // higher in neither
 	}
-	c.OnDispatch(served, func(visit func(*core.Request)) {
-		for _, r := range pending {
-			visit(r)
-		}
-	})
+	for _, r := range pending {
+		c.OnEnqueue(r)
+	}
+	c.OnDispatch(served)
 	if c.InversionsPerDim[0] != 2 || c.InversionsPerDim[1] != 2 {
 		t.Errorf("per-dim inversions = %v, want [2 2]", c.InversionsPerDim)
 	}
@@ -32,9 +31,8 @@ func TestInversionCounting(t *testing.T) {
 func TestEqualLevelsAreNotInversions(t *testing.T) {
 	c := NewCollector(1, 8)
 	served := &core.Request{Priorities: []int{3}}
-	c.OnDispatch(served, func(visit func(*core.Request)) {
-		visit(&core.Request{Priorities: []int{3}})
-	})
+	c.OnEnqueue(&core.Request{Priorities: []int{3}})
+	c.OnDispatch(served)
 	if c.TotalInversions() != 0 {
 		t.Errorf("equal priority counted as inversion")
 	}
@@ -207,7 +205,9 @@ func TestZeroDimCollectorSafe(t *testing.T) {
 	c := NewCollector(0, 0)
 	r := &core.Request{}
 	c.OnArrival(r)
-	c.OnDispatch(r, func(func(*core.Request)) {})
+	c.OnEnqueue(r)
+	c.OnDequeue(r)
+	c.OnDispatch(r)
 	c.OnDropped(r)
 	if c.TotalInversions() != 0 || c.Arrived != 1 || c.Dropped != 1 {
 		t.Error("zero-dim collector misbehaved")

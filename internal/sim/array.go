@@ -433,7 +433,7 @@ func armFailure(cfg ArrayConfig, eng *Engine, inj *fault.Injector, res *ArrayRes
 		// in-flight one (if any) is re-routed by its Lost completion.
 		st := eng.Stations[k]
 		for st.Sched.Len() > 0 {
-			pr := st.Sched.Next(now, st.Head())
+			pr := st.next(now)
 			if pr == nil {
 				break
 			}

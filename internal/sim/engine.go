@@ -29,7 +29,9 @@ type Station struct {
 	// Disk models seek/rotation/transfer times. Nil requires FixedService.
 	Disk *disk.Model
 	// Col accumulates this station's physical metrics (dispatch inversions,
-	// served/dropped/late counts, seek and service time). Required.
+	// served/dropped/late counts, seek and service time). Required. It
+	// mirrors this station's queue to count inversions (see Enqueue), so
+	// no two stations may share one.
 	Col *metrics.Collector
 	// TransferOnly charges only media transfer time (the §5.1-5.2
 	// assumption that "the transfer time dominates the seek time").
@@ -79,11 +81,26 @@ func (s *Station) Busy() bool { return s.inSvc != nil }
 // schedulers receive the same request (with their own head positions), so
 // counterfactual queues see every arrival and fault retry the primary
 // queue sees.
+//
+// The collector mirrors the queue for inversion counting: Enqueue adds r
+// to it and next, the only way a request leaves the queue, removes it.
 func (s *Station) Enqueue(r *core.Request, now int64) {
 	s.Sched.Add(r, now, s.head)
+	s.Col.OnEnqueue(r)
 	for _, sh := range s.shadows {
 		sh.add(r, now)
 	}
+}
+
+// next takes the scheduler's next request at the station's head and drops
+// it from the collector's queue mirror. Dispatch, DropLate drops and the
+// drain of a failed disk all take requests through it.
+func (s *Station) next(now int64) *core.Request {
+	r := s.Sched.Next(now, s.head)
+	if r != nil {
+		s.Col.OnDequeue(r)
+	}
+	return r
 }
 
 // serviceTimeAt returns (seekTime, totalServiceTime) for a service of
@@ -317,15 +334,16 @@ func (e *Engine) dispatch(st *Station, now int64) {
 			// walk is read-only, so the decision itself is unperturbed.
 			e.Decisions.snapshot(st, now)
 		}
-		r := st.Sched.Next(now, st.head)
+		r := st.next(now)
 		if r == nil {
 			return
 		}
 		if e.DropLate && r.Deadline > 0 && now > r.Deadline {
 			// Dropped requests never occupy the station, so serving others
 			// "ahead" of them costs nothing: they must not contribute to
-			// the §5.1 inversion counts. OnDispatch therefore runs only
-			// after the expiry check.
+			// the §5.1 inversion counts. next has already taken r out of
+			// the collector's queue mirror; OnDispatch, which counts the
+			// requests still queued, runs only after the expiry check.
 			st.Col.OnDropped(r)
 			if e.Faults != nil && e.Faults.Attempted(r) {
 				// The deadline expired while the request sat out a retry
@@ -344,7 +362,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 			}
 			continue
 		}
-		st.Col.OnDispatch(r, st.Sched.Each)
+		st.Col.OnDispatch(r)
 		target := r.Cylinder
 		if st.Disk != nil {
 			target = clampCyl(r.Cylinder, st.Disk.Cylinders)
@@ -384,7 +402,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		e.events.push(event{time: now + svc, seq: uint64(st.ID), station: st})
 	}
 	if st.IdleProbe && st.inSvc == nil && st.Sched.Len() == 0 {
-		st.Sched.Next(now, st.head)
+		st.next(now)
 	}
 }
 

@@ -19,8 +19,10 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
+	"sfcsched/internal/metrics"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
+	"sfcsched/internal/stats"
 	"sfcsched/internal/workload"
 )
 
@@ -262,6 +264,100 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 		for _, rep := range resShadowed.Shadows {
 			if rep.Agreements > rep.Decisions {
 				t.Fatalf("shadow %q: agreements %d > decisions %d", rep.Name, rep.Agreements, rep.Decisions)
+			}
+		}
+	})
+}
+
+// FuzzInversionCounterMatchesWalk holds the collector's level-histogram
+// inversion counter to the queue walk it replaced: at every served
+// dispatch the trace hook walks the station's remaining queue into an
+// oracle collector, and after one final probe dispatch every station's
+// InversionsPerDim must equal its oracle's. Priority vectors run from empty to one past Dims,
+// with levels in [-3, Levels+3], so short vectors and raw out-of-range
+// levels are always present. The seeds cover every policy with DropLate
+// on and off, fault plans whose retries run out, and RAID-5 arrays whose
+// planned disk failure drains a queue.
+func FuzzInversionCounterMatchesWalk(f *testing.F) {
+	// seed, requests, levels, transient rate, fault bits (fuzzPlan; bits
+	// 3-4 pick 1-3 retries), drop, array, policy
+	f.Add(uint64(1), uint16(200), byte(8), byte(0), byte(0), false, false, byte(0))
+	f.Add(uint64(2), uint16(250), byte(3), byte(0), byte(0), true, false, byte(1))
+	f.Add(uint64(3), uint16(220), byte(16), byte(20), byte(3), true, false, byte(4))
+	f.Add(uint64(4), uint16(240), byte(1), byte(31), byte(0), false, false, byte(9))
+	f.Add(uint64(5), uint16(260), byte(8), byte(25), byte(4), true, true, byte(0))
+	f.Add(uint64(6), uint16(280), byte(5), byte(10), byte(12), false, true, byte(12))
+	f.Add(uint64(7), uint16(230), byte(12), byte(15), byte(7), true, true, byte(6))
+	f.Add(uint64(8), uint16(210), byte(2), byte(0), byte(4), true, true, byte(13))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, levelsB, rateB, failB byte, drop, array bool, policy byte) {
+		const dims = 3
+		levels := 1 + int(levelsB)%16
+		names := sched.Names()
+		name := names[int(policy)%len(names)]
+		m := xp()
+		rng := stats.NewRNG(seed)
+		count := 50 + int(n)%250
+		trace := make([]*core.Request, count)
+		for i := range trace {
+			p := make([]int, rng.Intn(dims+2))
+			for k := range p {
+				p[k] = rng.Intn(levels+7) - 3
+			}
+			trace[i] = &core.Request{
+				ID: uint64(i + 1), Arrival: int64(i) * 7_000, Priorities: p,
+				Cylinder: rng.Intn(m.Cylinders), Size: 64 << 10, Write: rng.Intn(4) == 0,
+				Deadline: int64(i)*7_000 + int64(100_000+rng.Intn(300_000)),
+			}
+		}
+		plan := fuzzPlan(seed, rateB, failB, array)
+		plan.MaxRetries = 1 + int(failB>>3)%3
+
+		var scheds []sched.Scheduler
+		var oracles []*metrics.Collector
+		newStation := func(int) (sched.Scheduler, error) {
+			scheds = append(scheds, invariantScheduler(name))
+			oracles = append(oracles, metrics.NewCollector(dims, levels))
+			return scheds[len(scheds)-1], nil
+		}
+		opts := Options{DropLate: drop, Seed: seed, Dims: dims, Levels: levels, Fault: plan,
+			Trace: func(ev TraceEvent) {
+				if !ev.Dropped && !ev.Faulted {
+					walkInversions(oracles[ev.DiskID], ev.Request, scheds[ev.DiskID].Each)
+				}
+			}}
+		var got []*metrics.Collector
+		if array {
+			raid, err := disk.NewRAID5(5, 64<<10, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range trace {
+				r.Cylinder %= int(raid.MaxBlocks())
+			}
+			res, err := RunArray(ArrayConfig{Array: raid, NewScheduler: newStation, Options: opts}, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = res.PerDisk
+		} else {
+			s, _ := newStation(0)
+			res, err := Run(Config{Disk: m, Scheduler: s, Options: opts}, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = []*metrics.Collector{res.Collector}
+		}
+		// A last probe dispatch, worse than every level, counts whatever
+		// the collector still mirrors: a request that left a queue by an
+		// exit the collector missed shows here even when no later
+		// dispatch on that station would have compared against it.
+		probe := &core.Request{Priorities: []int{levels + 4, levels + 4, levels + 4}}
+		for d, col := range got {
+			col.OnDispatch(probe)
+			walkInversions(oracles[d], probe, scheds[d].Each)
+			if !reflect.DeepEqual(col.InversionsPerDim, oracles[d].InversionsPerDim) {
+				t.Fatalf("%s station %d: histogram counted %v inversions, the walk %v",
+					name, d, col.InversionsPerDim, oracles[d].InversionsPerDim)
 			}
 		}
 	})

@@ -78,7 +78,7 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 			}
 			continue
 		}
-		col.OnDispatch(r, s.Each)
+		walkInversions(col, r, s.Each)
 		seek, svc := legacyServiceTime(cfg, head, r, rng)
 		start := now
 		if cfg.Disk != nil {
@@ -103,6 +103,21 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 	}
 	col.Makespan = now
 	return res, nil
+}
+
+// walkInversions is the pre-histogram metrics.Collector.OnDispatch: it
+// walks the requests pending visits and charges r one inversion in
+// dimension k for each that has a strictly lower raw level there, over the
+// dimensions both requests carry. It is the oracle the collector's level
+// histogram must match (FuzzInversionCounterMatchesWalk).
+func walkInversions(col *metrics.Collector, r *core.Request, pending func(func(*core.Request))) {
+	pending(func(w *core.Request) {
+		for k := 0; k < col.Dims() && k < len(w.Priorities) && k < len(r.Priorities); k++ {
+			if w.Priorities[k] < r.Priorities[k] {
+				col.InversionsPerDim[k]++
+			}
+		}
+	})
 }
 
 // legacyServiceTime is the pre-engine Config.serviceTime.
