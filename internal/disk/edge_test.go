@@ -87,6 +87,32 @@ func TestTransferTimeEdges(t *testing.T) {
 	}
 }
 
+// ServiceTime is the schedulers' feasibility estimator, whose contract is
+// "never negative": FD-SCAN skips an expired request without asking for
+// its estimate. Check both seek models from every zone seam to every zone
+// seam and the disk ends, for empty through multi-track sizes.
+func TestServiceTimeNonNegativeAtZoneBoundaries(t *testing.T) {
+	sq, err := NewSqrtSeekFromMax(xp().Cylinders, 1500, 18000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{xp(), xp().UseSqrtSeek(sq)} {
+		var cyls []int
+		for _, z := range m.Zones {
+			cyls = append(cyls, z.FirstCyl, z.FirstCyl+z.Cylinders-1)
+		}
+		for _, head := range cyls {
+			for _, cyl := range cyls {
+				for _, size := range []int64{-1, 0, 1, 512, 64 << 10, 4 << 20} {
+					if st := m.ServiceTime(head, cyl, size); st < 0 {
+						t.Fatalf("ServiceTime(%d, %d, %d) = %d", head, cyl, size, st)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestZoneOfBoundaries(t *testing.T) {
 	m := MustModel(QuantumXP32150Params())
 	for z, zone := range m.Zones {

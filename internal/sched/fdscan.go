@@ -26,15 +26,10 @@ func (s *FDSCAN) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	target := s.earliestFeasible(now, head)
+	target, earliest := s.earliestFeasible(now, head)
 	if target < 0 {
 		// No feasible deadline: fall back to the earliest one.
-		target = 0
-		for i, r := range s.reqs[1:] {
-			if effDeadline(r) < effDeadline(s.reqs[target]) {
-				target = i + 1
-			}
-		}
+		target = earliest
 	}
 	// Serve the pending request closest to the head on the way to the
 	// target (the target itself qualifies).
@@ -51,16 +46,22 @@ func (s *FDSCAN) Next(now int64, head int) *core.Request {
 }
 
 // earliestFeasible returns the index of the request with the earliest
-// deadline that the head can still meet, or -1.
-func (s *FDSCAN) earliestFeasible(now int64, head int) int {
-	best := -1
+// deadline that the head can still meet, or -1, and the index of the
+// earliest deadline overall; ties go to the lower index. A request costs an
+// estimate only when its deadline would beat the feasible best and has not
+// already passed: with est >= 0 an expired deadline is never feasible.
+func (s *FDSCAN) earliestFeasible(now int64, head int) (target, earliest int) {
+	target = -1
+	var targetD, earliestD int64
 	for i, r := range s.reqs {
-		if now+s.est(head, r.Cylinder, r.Size) > effDeadline(r) {
+		d := effDeadline(r)
+		if i == 0 || d < earliestD {
+			earliest, earliestD = i, d
+		}
+		if (target >= 0 && d >= targetD) || now > d || now+s.est(head, r.Cylinder, r.Size) > d {
 			continue
 		}
-		if best < 0 || effDeadline(r) < effDeadline(s.reqs[best]) {
-			best = i
-		}
+		target, targetD = i, d
 	}
-	return best
+	return target, earliest
 }

@@ -10,8 +10,8 @@ import "sfcsched/internal/core"
 // absorbed by the least important work. Tail-parked requests stay out of
 // the scan order and are served only after the active queue drains.
 type Kamel struct {
-	active []*core.Request // scan-ordered, feasibility-protected
-	parked []*core.Request // sacrificed low-priority requests
+	active queue // scan-ordered, feasibility-protected
+	parked queue // sacrificed low-priority requests
 	est    Estimator
 	// MaxEvictions bounds the evict-and-retry loop per insertion.
 	MaxEvictions int
@@ -30,16 +30,12 @@ func NewKamel(est Estimator) *Kamel {
 func (s *Kamel) Name() string { return "kamel" }
 
 // Len implements Scheduler.
-func (s *Kamel) Len() int { return len(s.active) + len(s.parked) }
+func (s *Kamel) Len() int { return s.active.Len() + s.parked.Len() }
 
 // Each implements Scheduler.
 func (s *Kamel) Each(visit func(*core.Request)) {
-	for _, r := range s.active {
-		visit(r)
-	}
-	for _, r := range s.parked {
-		visit(r)
-	}
+	s.active.Each(visit)
+	s.parked.Each(visit)
 }
 
 // priorityOf returns the request's primary priority level (0 = highest).
@@ -53,25 +49,20 @@ func priorityOf(r *core.Request) int {
 // Add implements Scheduler.
 func (s *Kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
-		pos := scanInsertPos(s.active, r, head)
-		cand := make([]*core.Request, 0, len(s.active)+1)
-		cand = append(cand, s.active[:pos]...)
-		cand = append(cand, r)
-		cand = append(cand, s.active[pos:]...)
-		if s.feasible(cand, now, head) || ev >= s.MaxEvictions || len(s.active) == 0 {
-			s.active = cand
+		pos := scanInsertPos(s.active.reqs, r, head)
+		s.active.insertAt(pos, r)
+		if ev >= s.MaxEvictions || s.active.Len() == 1 || feasible(s.est, s.active.reqs, now, head) {
 			return
 		}
+		s.active.removeAt(pos)
 		// Park the lowest-priority active request at the tail and retry.
 		low := 0
-		for i, q := range s.active {
-			if s.Priority(q) > s.Priority(s.active[low]) {
+		for i, q := range s.active.reqs {
+			if s.Priority(q) > s.Priority(s.active.reqs[low]) {
 				low = i
 			}
 		}
-		victim := s.active[low]
-		s.active = append(s.active[:low], s.active[low+1:]...)
-		s.parked = append(s.parked, victim)
+		s.parked.add(s.active.removeAt(low))
 	}
 }
 
@@ -94,32 +85,13 @@ func scanInsertPos(reqs []*core.Request, r *core.Request, head int) int {
 	return len(reqs)
 }
 
-// feasible simulates serving reqs in order from (now, head) and reports
-// whether every deadline is met at service start.
-func (s *Kamel) feasible(reqs []*core.Request, now int64, head int) bool {
-	t := now
-	h := head
-	for _, r := range reqs {
-		if t > effDeadline(r) {
-			return false
-		}
-		t += s.est(h, r.Cylinder, r.Size)
-		h = r.Cylinder
-	}
-	return true
-}
-
 // Next implements Scheduler.
 func (s *Kamel) Next(now int64, head int) *core.Request {
-	if len(s.active) > 0 {
-		r := s.active[0]
-		s.active = s.active[1:]
-		return r
+	if s.active.Len() > 0 {
+		return s.active.removeAt(0)
 	}
-	if len(s.parked) > 0 {
-		r := s.parked[0]
-		s.parked = s.parked[1:]
-		return r
+	if s.parked.Len() > 0 {
+		return s.parked.removeAt(0)
 	}
 	return nil
 }

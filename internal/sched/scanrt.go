@@ -7,8 +7,8 @@ import "sfcsched/internal/core"
 // any already-queued request past its deadline; otherwise the arrival is
 // appended to the tail. Dispatch simply pops the queue front.
 type SCANRT struct {
-	reqs []*core.Request
-	est  Estimator
+	queue
+	est Estimator
 }
 
 // NewSCANRT returns a SCAN-RT scheduler using est for deadline-feasibility
@@ -18,43 +18,14 @@ func NewSCANRT(est Estimator) *SCANRT { return &SCANRT{est: est} }
 // Name implements Scheduler.
 func (s *SCANRT) Name() string { return "scan-rt" }
 
-// Len implements Scheduler.
-func (s *SCANRT) Len() int { return len(s.reqs) }
-
-// Each implements Scheduler.
-func (s *SCANRT) Each(visit func(*core.Request)) {
-	for _, r := range s.reqs {
-		visit(r)
-	}
-}
-
 // Add implements Scheduler.
 func (s *SCANRT) Add(r *core.Request, now int64, head int) {
 	pos := scanInsertPos(s.reqs, r, head)
-	cand := make([]*core.Request, 0, len(s.reqs)+1)
-	cand = append(cand, s.reqs[:pos]...)
-	cand = append(cand, r)
-	cand = append(cand, s.reqs[pos:]...)
-	if s.feasible(cand, now, head) {
-		s.reqs = cand
-		return
+	s.insertAt(pos, r)
+	if !feasible(s.est, s.reqs, now, head) {
+		s.removeAt(pos)
+		s.add(r)
 	}
-	s.reqs = append(s.reqs, r)
-}
-
-// feasible simulates serving reqs in order from (now, head) and reports
-// whether every deadline is met at service start.
-func (s *SCANRT) feasible(reqs []*core.Request, now int64, head int) bool {
-	t := now
-	h := head
-	for _, r := range reqs {
-		if t > effDeadline(r) {
-			return false
-		}
-		t += s.est(h, r.Cylinder, r.Size)
-		h = r.Cylinder
-	}
-	return true
 }
 
 // Next implements Scheduler.
@@ -62,7 +33,5 @@ func (s *SCANRT) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	r := s.reqs[0]
-	s.reqs = s.reqs[1:]
-	return r
+	return s.removeAt(0)
 }

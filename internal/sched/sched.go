@@ -32,12 +32,16 @@ type Scheduler interface {
 // Estimator predicts the service time of a request at cylinder cyl of the
 // given size with the head at cylinder head. Feasibility-testing schedulers
 // (FD-SCAN, SCAN-RT, Kamel) need one; disk.Model.ServiceTime satisfies it.
+// An estimate must be >= 0: FD-SCAN skips an already-expired request
+// without asking, since no service time could make it feasible again.
 type Estimator func(head, cyl int, size int64) int64
 
 // queue is the shared slice-backed request store used by the schedulers
-// that scan their queue at dispatch time. For the queue depths the paper
-// simulates (tens to a few hundred requests) linear scans beat the constant
-// factors of heap bookkeeping and keep every policy trivially auditable.
+// that scan their queue at dispatch time. Scans are linear and allocate
+// nothing: the deadline-window policies (SSEDO, SSEDV) select their m
+// earliest deadlines in one bounded pass into a scratch slice rather than
+// sorting the queue, and the scan-ordered policies (SCAN-RT, Kamel) insert
+// in place and test feasibility on the live slice.
 type queue struct {
 	reqs []*core.Request
 }
@@ -50,6 +54,13 @@ func (q *queue) Each(visit func(r *core.Request)) {
 	}
 }
 
+// insertAt inserts r at index i, shifting the tail up.
+func (q *queue) insertAt(i int, r *core.Request) {
+	q.reqs = append(q.reqs, nil)
+	copy(q.reqs[i+1:], q.reqs[i:])
+	q.reqs[i] = r
+}
+
 // removeAt removes and returns the request at index i. The vacated tail
 // slot is nilled out so served requests become collectible under long
 // traces instead of being pinned by the slice's spare capacity.
@@ -60,6 +71,21 @@ func (q *queue) removeAt(i int) *core.Request {
 	q.reqs[last] = nil
 	q.reqs = q.reqs[:last]
 	return r
+}
+
+// feasible simulates serving reqs in order from (now, head) under est and
+// reports whether every deadline is met at service start.
+func feasible(est Estimator, reqs []*core.Request, now int64, head int) bool {
+	t := now
+	h := head
+	for _, r := range reqs {
+		if t > effDeadline(r) {
+			return false
+		}
+		t += est(h, r.Cylinder, r.Size)
+		h = r.Cylinder
+	}
+	return true
 }
 
 // effDeadline treats "no deadline" as infinitely far away.

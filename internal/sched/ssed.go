@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 
 	"sfcsched/internal/core"
 )
@@ -21,6 +20,7 @@ type SSEDO struct {
 	Window int
 	// Beta is the per-rank seek-distance penalty (> 1).
 	Beta float64
+	win  []int // deadlineWindow scratch
 }
 
 // NewSSEDO returns an SSEDO scheduler with window m and penalty beta.
@@ -46,7 +46,8 @@ func (s *SSEDO) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	cand := deadlineWindow(s.reqs, s.Window)
+	cand := deadlineWindow(s.reqs, s.Window, s.win[:0])
+	s.win = cand
 	best, bestScore := cand[0], math.Inf(1)
 	for rank, i := range cand {
 		r := s.reqs[i]
@@ -67,6 +68,7 @@ type SSEDV struct {
 	queue
 	Window int
 	Alpha  float64
+	win    []int // deadlineWindow scratch
 }
 
 // NewSSEDV returns an SSEDV scheduler; zero values default to m = 5,
@@ -92,7 +94,8 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	cand := deadlineWindow(s.reqs, s.Window)
+	cand := deadlineWindow(s.reqs, s.Window, s.win[:0])
+	s.win = cand
 	maxSlack, maxSeek := int64(1), 1
 	for _, i := range cand {
 		r := s.reqs[i]
@@ -123,17 +126,27 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 }
 
 // deadlineWindow returns the indices of the m earliest-deadline requests,
-// ordered by deadline.
-func deadlineWindow(reqs []*core.Request, m int) []int {
-	idx := make([]int, len(reqs))
-	for i := range idx {
-		idx[i] = i
+// ordered by deadline with ties in queue order: the length-m prefix of a
+// stable sort by deadline. It selects in one pass, keeping win sorted by
+// insertion, so it costs O(len(reqs)·m) and appends into win's storage.
+func deadlineWindow(reqs []*core.Request, m int, win []int) []int {
+	var bound int64 // deadline of win's last entry once len(win) == m
+	for i, r := range reqs {
+		d := effDeadline(r)
+		if len(win) == m && d >= bound {
+			continue
+		}
+		// Later indices go after equal deadlines, which keeps ties stable.
+		j := len(win)
+		for j > 0 && effDeadline(reqs[win[j-1]]) > d {
+			j--
+		}
+		if len(win) < m {
+			win = append(win, 0)
+		}
+		copy(win[j+1:], win[j:len(win)-1])
+		win[j] = i
+		bound = effDeadline(reqs[win[len(win)-1]])
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return effDeadline(reqs[idx[a]]) < effDeadline(reqs[idx[b]])
-	})
-	if len(idx) > m {
-		idx = idx[:m]
-	}
-	return idx
+	return win
 }
