@@ -352,11 +352,11 @@ func BenchmarkConcurrentIngressSingleLock(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	m := disk.MustModel(disk.QuantumXP32150Params())
 	var arena workload.Arena
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 2000, MeanInterarrival: 10_000,
 		Dims: 3, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
 		Cylinders: m.Cylinders, Size: 64 << 10,
-	}.MustGenerateArena(&arena)
+	}.GenerateArena(&arena))
 	var ru sim.Reuse
 	cscan := sched.NewCSCAN()
 	cfg := sim.Config{
@@ -389,11 +389,11 @@ func BenchmarkSweepAggregateThroughput(b *testing.B) {
 	states := make([]*cellState, cells)
 	for i := range states {
 		var arena workload.Arena
-		states[i] = &cellState{trace: workload.Open{
+		states[i] = &cellState{trace: workload.Must(workload.Open{
 			Seed: uint64(i + 1), Count: count, MeanInterarrival: 10_000,
 			Dims: 3, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
 			Cylinders: m.Cylinders, Size: 64 << 10,
-		}.MustGenerateArena(&arena)}
+		}.GenerateArena(&arena))}
 	}
 	runCell := func(i int) (uint64, error) {
 		st := states[i]
@@ -431,10 +431,10 @@ func BenchmarkSweepAggregateThroughput(b *testing.B) {
 // (default) against the slack-at-enqueue ablation: the slack skew costs
 // deadline misses at equal load.
 func BenchmarkAblationDeadlineMode(b *testing.B) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 4000, MeanInterarrival: 25_000,
 		Dims: 1, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
-	}.MustGenerate()
+	}.Generate())
 	run := func(slack bool) float64 {
 		s := core.MustScheduler("x", core.EncapsulatorConfig{
 			Levels: 8, UseDeadline: true, F: math.Inf(1), Tie: core.TiePriority,
@@ -455,10 +455,10 @@ func BenchmarkAblationDeadlineMode(b *testing.B) {
 // BenchmarkAblationSP measures the Serve-and-Promote policy's effect on
 // priority inversion at a fixed window.
 func BenchmarkAblationSP(b *testing.B) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 4000, MeanInterarrival: 25_000,
 		Dims: 4, Levels: 16,
-	}.MustGenerate()
+	}.Generate())
 	run := func(sp bool) float64 {
 		s := core.MustScheduler("x", core.EncapsulatorConfig{
 			Curve1: sfc.MustNew("peano", 4, 16), Levels: 16,
@@ -510,10 +510,10 @@ func BenchmarkAblationER(b *testing.B) {
 // BenchmarkAblationWindow sweeps the blocking window and reports the
 // preemption count at each size — the responsiveness/batching dial.
 func BenchmarkAblationWindow(b *testing.B) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 3000, MeanInterarrival: 25_000,
 		Dims: 4, Levels: 16,
-	}.MustGenerate()
+	}.Generate())
 	run := func(frac float64) float64 {
 		s := core.MustScheduler("x", core.EncapsulatorConfig{
 			Curve1: sfc.MustNew("peano", 4, 16), Levels: 16,
@@ -539,10 +539,10 @@ func BenchmarkAblationWindow(b *testing.B) {
 // BenchmarkAblationCurve1 compares SFC1 curve choices on total priority
 // inversion under identical load — the Fig. 5 result as a single number.
 func BenchmarkAblationCurve1(b *testing.B) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 3000, MeanInterarrival: 25_000,
 		Dims: 4, Levels: 16,
-	}.MustGenerate()
+	}.Generate())
 	run := func(curve string) float64 {
 		s := core.MustScheduler("x", core.EncapsulatorConfig{
 			Curve1: sfc.MustNew(curve, 4, 16), Levels: 16,

@@ -20,18 +20,29 @@ import (
 // panics on duplicates, and tests build more than one mux.
 var publishOnce sync.Once
 
+// metricSets lists every process-wide metrics aggregate /metrics exports,
+// each with its name prefix.
+var metricSets = []struct {
+	prefix  string
+	metrics any
+}{
+	{"sfcsched", core.DefaultMetrics},
+	{"sfcsched_fault", fault.DefaultMetrics},
+	{"sfcsched_decision", sim.DefaultDecisionMetrics},
+	{"sfcsched_cluster", cluster.DefaultMetrics},
+	{"sfcsched_serve", serve.DefaultMetrics},
+	{"sfcsched_calib", serve.DefaultCalibMetrics},
+}
+
 // newObsMux builds the observability endpoint: /metrics (Prometheus text
-// format over the process-wide core.DefaultMetrics aggregate), /debug/vars
+// format over the metricSets aggregates), /debug/vars
 // (expvar, including the same snapshot under "sfcsched"), and the pprof
 // suite under /debug/pprof/.
 func newObsMux() *http.ServeMux {
 	reg := obs.NewRegistry()
-	core.DefaultMetrics.MustRegister(reg, "sfcsched")
-	fault.DefaultMetrics.MustRegister(reg, "sfcsched_fault")
-	sim.DefaultDecisionMetrics.MustRegister(reg, "sfcsched_decision")
-	cluster.DefaultMetrics.MustRegister(reg, "sfcsched_cluster")
-	serve.DefaultMetrics.MustRegister(reg, "sfcsched_serve")
-	serve.DefaultCalibMetrics.MustRegister(reg, "sfcsched_calib")
+	for _, s := range metricSets {
+		reg.MustRegisterStruct(s.prefix, s.metrics)
+	}
 	publishOnce.Do(func() { reg.PublishExpvar("sfcsched") })
 
 	mux := http.NewServeMux()

@@ -1,14 +1,58 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/obs"
 )
+
+// TestMetricsExpositionGolden builds the registry newObsMux builds, over
+// zero-valued copies of the same aggregates, and pins its Prometheus text
+// and its Snapshot key set byte for byte: every name, HELP and TYPE line
+// comes from the metric struct tags, so a renamed or retyped field shows
+// up here.
+func TestMetricsExpositionGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	for _, s := range metricSets {
+		zero := reflect.New(reflect.TypeOf(s.metrics).Elem()).Interface()
+		if err := reg.RegisterStruct(s.prefix, zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range reg.Snapshot() {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{
+		{"testdata/metrics.prom", prom.Bytes()},
+		{"testdata/snapshot_keys.txt", []byte(strings.Join(keys, "\n") + "\n")},
+	} {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s differs:\ngot:\n%s\nwant:\n%s", g.file, g.got, want)
+		}
+	}
+}
 
 func TestObsEndpoints(t *testing.T) {
 	// Generate some scheduler traffic so /metrics shows non-zero counters.

@@ -30,7 +30,7 @@ func main() {
 	// CPU jobs: a "cylinder" would be meaningless, so the workload carries
 	// none and the simulator charges a fixed 9 ms burst per job against a
 	// 10 ms mean arrival rate.
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed:             21,
 		Count:            jobs,
 		MeanInterarrival: 10_000,
@@ -38,7 +38,7 @@ func main() {
 		Levels:           levels,
 		DeadlineMin:      100_000,
 		DeadlineMax:      400_000,
-	}.MustGenerate()
+	}.Generate())
 
 	cascaded := core.MustScheduler("cascaded-cpu",
 		core.EncapsulatorConfig{

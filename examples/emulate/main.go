@@ -19,7 +19,7 @@ import (
 
 func main() {
 	model := disk.MustModel(disk.QuantumXP32150Params())
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed:             5,
 		Count:            300,
 		MeanInterarrival: 1_000,
@@ -29,7 +29,7 @@ func main() {
 		DeadlineMax:      900_000,
 		Cylinders:        model.Cylinders,
 		Size:             64 << 10,
-	}.MustGenerate()
+	}.Generate())
 	horizon := int64(2_000_000)
 
 	// EDF: stage 1 ignored (single value), stage 2 with f -> infinity

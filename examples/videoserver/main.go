@@ -38,7 +38,7 @@ func main() {
 	// Cylinder field carries the logical block number; the RAID layer maps
 	// it to a (disk, cylinder) pair.
 	blockSpace := int(array.MaxBlocks() / 4)
-	logical := workload.Streams{
+	logical := workload.Must(workload.Streams{
 		Seed:        7,
 		Users:       users,
 		Duration:    duration,
@@ -50,7 +50,7 @@ func main() {
 		Cylinders:   blockSpace,
 		WriteFrac:   0.2,
 		Burst:       3,
-	}.MustGenerate()
+	}.Generate())
 
 	fmt.Printf("non-linear editing server: %d streams, %d logical block requests over %ds\n",
 		users, len(logical), duration/1_000_000)

@@ -17,13 +17,13 @@ func BenchmarkClusterDispatch(b *testing.B) {
 		NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
 		DropLate:     true, Seed: 7, Metrics: &Metrics{},
 	}
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 1, Count: 10_000, MeanInterarrival: 1500,
 		Dims: 1, Levels: 4,
 		DeadlineMin: 100_000, DeadlineMax: 400_000,
 		Cylinders: base.MaxBlocks(), Size: 64 << 10,
 		Tenants: 8, TenantSkew: 1.2, Classes: 3, TenantZones: true,
-	}.MustGenerate()
+	}.Generate())
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -362,8 +362,8 @@ func TestClusterMetrics(t *testing.T) {
 	// The aggregate registers cleanly under a prefix, and double
 	// registration (duplicate names) is rejected.
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "cluster_test")
-	if err := m.Register(reg, "cluster_test"); err == nil {
+	reg.MustRegisterStruct("cluster_test", m)
+	if err := reg.RegisterStruct("cluster_test", m); err == nil {
 		t.Error("duplicate metric registration accepted")
 	}
 

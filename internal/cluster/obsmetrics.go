@@ -8,58 +8,27 @@ import "sfcsched/internal/obs"
 // via Config.Metrics.
 type Metrics struct {
 	// Arrivals counts requests offered to the cluster.
-	Arrivals obs.Counter
+	Arrivals obs.Counter `metric:"arrivals" help:"requests offered to the cluster"`
 	// AdmitDropped counts requests rejected by admission control.
-	AdmitDropped obs.Counter
+	AdmitDropped obs.Counter `metric:"admit_dropped" help:"requests rejected by admission control"`
 	// Routed counts admitted requests handed to a node.
-	Routed obs.Counter
+	Routed obs.Counter `metric:"routed" help:"admitted requests handed to a node"`
 	// Served counts completed services.
-	Served obs.Counter
+	Served obs.Counter `metric:"served" help:"completed services"`
 	// DispatchDropped counts requests dropped at dispatch time (deadline
 	// expired under DropLate).
-	DispatchDropped obs.Counter
+	DispatchDropped obs.Counter `metric:"dispatch_dropped" help:"requests dropped at dispatch (deadline expired)"`
 	// LateStarts counts services that started past their deadline
 	// (without DropLate).
-	LateStarts obs.Counter
+	LateStarts obs.Counter `metric:"late_starts" help:"services started past their deadline"`
 	// LatencyUS is the completion latency distribution of served
 	// requests (completion − arrival), µs.
-	LatencyUS obs.Histogram
+	LatencyUS obs.Histogram `metric:"latency_us" help:"completion latency of served requests, microseconds"`
 	// NodeDepthMax is the high-water backlog of the routed node observed
 	// at routing time.
-	NodeDepthMax obs.MaxGauge
+	NodeDepthMax obs.MaxGauge `metric:"node_depth_max" help:"high-water backlog of the routed node"`
 }
 
 // DefaultMetrics is the process-wide aggregate every cluster run reports
 // into unless overridden via Config.Metrics.
 var DefaultMetrics = &Metrics{}
-
-// Register registers every field of m under prefix (e.g.
-// "sfcsched_cluster") in reg.
-func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"arrivals", "requests offered to the cluster", &m.Arrivals},
-		{"admit_dropped", "requests rejected by admission control", &m.AdmitDropped},
-		{"routed", "admitted requests handed to a node", &m.Routed},
-		{"served", "completed services", &m.Served},
-		{"dispatch_dropped", "requests dropped at dispatch (deadline expired)", &m.DispatchDropped},
-		{"late_starts", "services started past their deadline", &m.LateStarts},
-		{"latency_us", "completion latency of served requests, microseconds", &m.LatencyUS},
-		{"node_depth_max", "high-water backlog of the routed node", &m.NodeDepthMax},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

@@ -117,7 +117,7 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 	m := &Metrics{}
 	s.SetMetrics(m)
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "race")
+	reg.MustRegisterStruct("race", m)
 
 	const producers, perProducer = 4, 500
 	var wg sync.WaitGroup
@@ -170,11 +170,11 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 func TestMetricsRegister(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := &Metrics{}
-	if err := m.Register(reg, "sfcsched"); err != nil {
+	if err := reg.RegisterStruct("sfcsched", m); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate prefix must fail, not silently shadow.
-	if err := m.Register(reg, "sfcsched"); err == nil {
+	if err := reg.RegisterStruct("sfcsched", m); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	m.Preemptions.Inc()

@@ -291,14 +291,14 @@ func TestForgetDropsBookkeeping(t *testing.T) {
 }
 
 func TestMetricsRegister(t *testing.T) {
-	// Register must cover every field; a second registration under a
+	// RegisterStruct must cover every field; a second registration under a
 	// different prefix proves the names are prefix-scoped, and the same
 	// prefix twice must collide.
 	m := &Metrics{}
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "a")
-	m.MustRegister(reg, "b")
-	if err := m.Register(reg, "a"); err == nil {
+	reg.MustRegisterStruct("a", m)
+	reg.MustRegisterStruct("b", m)
+	if err := reg.RegisterStruct("a", m); err == nil {
 		t.Error("re-registering the same prefix did not error")
 	}
 }

@@ -7,69 +7,34 @@ import "sfcsched/internal/obs"
 // override via Plan.Metrics.
 type Metrics struct {
 	// Transients counts injected transient read errors.
-	Transients obs.Counter
+	Transients obs.Counter `metric:"transients" help:"injected transient read errors"`
 	// Retries counts request re-enqueues (backoff retries + remap retries).
-	Retries obs.Counter
+	Retries obs.Counter `metric:"retries" help:"fault-induced request re-enqueues"`
 	// Exhausted counts requests abandoned after the retry budget.
-	Exhausted obs.Counter
+	Exhausted obs.Counter `metric:"exhausted" help:"requests abandoned after the retry budget"`
 	// BadSectorHits counts first touches of latent bad ranges.
-	BadSectorHits obs.Counter
+	BadSectorHits obs.Counter `metric:"bad_sector_hits" help:"first touches of latent bad ranges"`
 	// Remaps counts bad ranges remapped to the spare area.
-	Remaps obs.Counter
+	Remaps obs.Counter `metric:"remaps" help:"bad ranges remapped to the spare area"`
 	// RemapHits counts dispatches redirected into the spare area.
-	RemapHits obs.Counter
+	RemapHits obs.Counter `metric:"remap_hits" help:"dispatches redirected to the spare area"`
 	// DiskFailures counts whole-disk failures.
-	DiskFailures obs.Counter
+	DiskFailures obs.Counter `metric:"disk_failures" help:"whole-disk failures"`
 	// ReconstructReads counts survivor reads issued to serve degraded
 	// reads of a failed disk.
-	ReconstructReads obs.Counter
+	ReconstructReads obs.Counter `metric:"reconstruct_reads" help:"survivor reads serving degraded reads"`
 	// RebuildReads counts survivor reads issued by the background rebuild.
-	RebuildReads obs.Counter
+	RebuildReads obs.Counter `metric:"rebuild_reads" help:"survivor reads issued by the rebuild"`
 
 	// Degraded is 1 while a disk is down, 0 otherwise.
-	Degraded obs.Gauge
+	Degraded obs.Gauge `metric:"degraded" help:"1 while a disk is down"`
 	// RebuildProgress is the number of per-disk blocks rebuilt so far.
-	RebuildProgress obs.Gauge
+	RebuildProgress obs.Gauge `metric:"rebuild_progress_blocks" help:"per-disk blocks rebuilt so far"`
 	// DegradedWindowUs is the duration of the last completed degraded
 	// window (failure to rebuild completion), µs.
-	DegradedWindowUs obs.Gauge
+	DegradedWindowUs obs.Gauge `metric:"degraded_window_us" help:"duration of the last degraded window, microseconds"`
 }
 
 // DefaultMetrics is the process-wide aggregate every injector reports
 // into unless the plan overrides it.
 var DefaultMetrics = &Metrics{}
-
-// Register registers every field of m under prefix (e.g. "sfcsched_fault")
-// in reg.
-func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"transients", "injected transient read errors", &m.Transients},
-		{"retries", "fault-induced request re-enqueues", &m.Retries},
-		{"exhausted", "requests abandoned after the retry budget", &m.Exhausted},
-		{"bad_sector_hits", "first touches of latent bad ranges", &m.BadSectorHits},
-		{"remaps", "bad ranges remapped to the spare area", &m.Remaps},
-		{"remap_hits", "dispatches redirected to the spare area", &m.RemapHits},
-		{"disk_failures", "whole-disk failures", &m.DiskFailures},
-		{"reconstruct_reads", "survivor reads serving degraded reads", &m.ReconstructReads},
-		{"rebuild_reads", "survivor reads issued by the rebuild", &m.RebuildReads},
-		{"degraded", "1 while a disk is down", &m.Degraded},
-		{"rebuild_progress_blocks", "per-disk blocks rebuilt so far", &m.RebuildProgress},
-		{"degraded_window_us", "duration of the last degraded window, microseconds", &m.DegradedWindowUs},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -61,6 +62,60 @@ func (r *Registry) MustRegister(name, help string, v any) {
 	if err := r.Register(name, help, v); err != nil {
 		panic(err)
 	}
+}
+
+// RegisterStruct registers every metric field of the struct m points to,
+// each under prefix_<name> with the name and help text taken from its
+// tags:
+//
+//	Adds obs.Counter `metric:"adds" help:"requests enqueued"`
+//
+// It is an error for m not to point to a struct, for a Counter, Gauge,
+// MaxGauge or Histogram field to carry no metric tag (it would silently go
+// unexported), for a tagged field to be unexported or of another type, and
+// for any name Register rejects. Fields without a tag and of other types
+// are skipped. Registration uses reflection: call it at startup, not on
+// hot paths.
+func (r *Registry) RegisterStruct(prefix string, m any) error {
+	v := reflect.ValueOf(m)
+	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		return fmt.Errorf("obs: RegisterStruct needs a pointer to a struct, got %T", m)
+	}
+	v = v.Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, tagged := f.Tag.Lookup("metric")
+		if !tagged {
+			if isMetricType(f.Type) {
+				return fmt.Errorf("obs: %s.%s has no metric tag", v.Type(), f.Name)
+			}
+			continue
+		}
+		if !f.IsExported() || !isMetricType(f.Type) {
+			return fmt.Errorf("obs: %s.%s: tagged field must be an exported obs metric, got %s", v.Type(), f.Name, f.Type)
+		}
+		if err := r.Register(prefix+"_"+name, f.Tag.Get("help"), v.Field(i).Addr().Interface()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MustRegisterStruct is RegisterStruct for static wiring.
+func (r *Registry) MustRegisterStruct(prefix string, m any) {
+	if err := r.RegisterStruct(prefix, m); err != nil {
+		panic(err)
+	}
+}
+
+// isMetricType reports whether a struct field of type t can be registered
+// by address.
+func isMetricType(t reflect.Type) bool {
+	switch t {
+	case reflect.TypeFor[Counter](), reflect.TypeFor[Gauge](), reflect.TypeFor[MaxGauge](), reflect.TypeFor[Histogram]():
+		return true
+	}
+	return false
 }
 
 // names returns the registered names in sorted order.

@@ -106,3 +106,93 @@ func TestHandlerAndSnapshot(t *testing.T) {
 		t.Errorf("snapshot histogram = %v", hm)
 	}
 }
+
+func TestRegisterStruct(t *testing.T) {
+	var m struct {
+		Hits  Counter   `metric:"hits" help:"cache hits"`
+		Depth Gauge     `metric:"depth"`
+		Peak  MaxGauge  `metric:"peak" help:"high water"`
+		Wait  Histogram `metric:"wait_us" help:"wait"`
+		Name  string    // untagged non-metric fields are skipped
+		n     int
+	}
+	m.Hits.Add(2)
+	r := NewRegistry()
+	r.MustRegisterStruct("app", &m)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP app_hits_total cache hits\n# TYPE app_hits_total counter\napp_hits_total 2\n",
+		"# TYPE app_depth gauge\napp_depth 0\n",
+		"# HELP app_peak high water\n",
+		"# TYPE app_wait_us histogram\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("prometheus output missing %q:\n%s", want, b.String())
+		}
+	}
+	if strings.Contains(b.String(), "# HELP app_depth") {
+		t.Error("empty help tag emitted a HELP line")
+	}
+	if n := len(r.Snapshot()); n != 4 {
+		t.Errorf("snapshot has %d metrics, want 4", n)
+	}
+}
+
+func TestRegisterStructErrors(t *testing.T) {
+	type ok struct {
+		C Counter `metric:"c"`
+	}
+	cases := []struct {
+		name string
+		m    any
+		want string
+	}{
+		{"nil", nil, "pointer to a struct"},
+		{"non-pointer", ok{}, "pointer to a struct"},
+		{"non-struct", new(int), "pointer to a struct"},
+		{"untagged-counter", &struct{ C Counter }{}, "no metric tag"},
+		{"untagged-histogram", &struct {
+			C Counter `metric:"c"`
+			H Histogram
+		}{}, "no metric tag"},
+		{"tagged-int", &struct {
+			N int `metric:"n"`
+		}{}, "exported obs metric"},
+		{"tagged-pointer", &struct {
+			C *Counter `metric:"c"`
+		}{}, "exported obs metric"},
+		{"tagged-unexported", &struct {
+			c Counter `metric:"c"`
+		}{}, "exported obs metric"},
+		{"bad-name", &struct {
+			C Counter `metric:"has space"`
+		}{}, "invalid metric name"},
+		{"duplicate-tag", &struct {
+			A Counter `metric:"x"`
+			B Gauge   `metric:"x"`
+		}{}, "duplicate metric"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := NewRegistry().RegisterStruct("p", tc.m)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want mention of %q", err, tc.want)
+			}
+		})
+	}
+	// The same struct under the same prefix twice collides in Register.
+	r := NewRegistry()
+	r.MustRegisterStruct("p", &ok{})
+	if err := r.RegisterStruct("p", &ok{}); err == nil || !strings.Contains(err.Error(), "duplicate metric") {
+		t.Errorf("re-registration error %v, want duplicate metric", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustRegisterStruct did not panic on a bad argument")
+		}
+	}()
+	r.MustRegisterStruct("q", ok{})
+}

@@ -56,12 +56,12 @@ func TestCalibrateExactOrderPreloaded(t *testing.T) {
 // point of the measurement) but every request must be served on both sides
 // and the scores must be sane.
 func TestCalibrateReplay(t *testing.T) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 42, Count: 120, MeanInterarrival: 4_000,
 		Dims: 1, Levels: 8,
 		DeadlineMin: 400_000, DeadlineMax: 700_000,
 		Cylinders: 3832, Size: 65536,
-	}.MustGenerate()
+	}.Generate())
 	cm := &CalibMetrics{}
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
 		Sched:    serveConfig(),

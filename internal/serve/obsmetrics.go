@@ -8,76 +8,41 @@ import "sfcsched/internal/obs"
 // core.Metrics wiring.
 type Metrics struct {
 	// Submitted counts requests accepted into the scheduler by Submit.
-	Submitted obs.Counter
+	Submitted obs.Counter `metric:"submitted" help:"requests accepted into the serving scheduler"`
 	// Rejected counts submissions refused because the ingress was closed.
-	Rejected obs.Counter
+	Rejected obs.Counter `metric:"rejected" help:"submissions refused by a closed ingress"`
 	// Dispatched counts requests the dispatch loop handed to the backend
 	// (plus drops: every dequeue is a dispatch decision).
-	Dispatched obs.Counter
+	Dispatched obs.Counter `metric:"dispatched" help:"dispatch decisions (services plus drops)"`
 	// Completed counts services the backend finished successfully.
-	Completed obs.Counter
+	Completed obs.Counter `metric:"completed" help:"services completed by the backend"`
 	// Dropped counts requests discarded at dispatch because their deadline
 	// had already passed (Config.DropLate).
-	Dropped obs.Counter
+	Dropped obs.Counter `metric:"dropped" help:"requests dropped at dispatch past their deadline"`
 	// Abandoned counts requests whose service was cut short by Stop or
 	// context cancellation, plus requests still queued at Stop.
-	Abandoned obs.Counter
+	Abandoned obs.Counter `metric:"abandoned" help:"requests abandoned by Stop or cancellation"`
 	// BackpressureWaits counts Submit calls that blocked on the MaxQueue
 	// quota before entering the scheduler.
-	BackpressureWaits obs.Counter
+	BackpressureWaits obs.Counter `metric:"backpressure_waits" help:"Submit calls that blocked on the queue quota"`
 	// Drains counts completed graceful shutdowns.
-	Drains obs.Counter
+	Drains obs.Counter `metric:"drains" help:"completed graceful shutdowns"`
 	// HeadTravelCylinders accumulates emulated head movement.
-	HeadTravelCylinders obs.Counter
+	HeadTravelCylinders obs.Counter `metric:"head_travel_cylinders" help:"cumulative emulated head movement"`
 	// InFlight is the number of services currently running on the backend.
-	InFlight obs.Gauge
+	InFlight obs.Gauge `metric:"inflight" help:"services currently running on the backend"`
 	// ModelLatency is the distribution of arrival-to-completion time on the
 	// model clock, microseconds — directly comparable with the simulator's
 	// response times.
-	ModelLatency obs.Histogram
+	ModelLatency obs.Histogram `metric:"model_latency_us" help:"arrival-to-completion time on the model clock, microseconds"`
 	// WallService is the distribution of wall-clock time spent per backend
 	// service, microseconds: what the dilated sleep actually cost.
-	WallService obs.Histogram
+	WallService obs.Histogram `metric:"wall_service_us" help:"wall-clock time per backend service, microseconds"`
 }
 
 // DefaultMetrics is the process-wide aggregate every Dispatcher reports
 // into unless overridden via Config.Metrics.
 var DefaultMetrics = &Metrics{}
-
-// Register registers every field of m under prefix (conventionally
-// "sfcsched_serve") in reg.
-func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"submitted", "requests accepted into the serving scheduler", &m.Submitted},
-		{"rejected", "submissions refused by a closed ingress", &m.Rejected},
-		{"dispatched", "dispatch decisions (services plus drops)", &m.Dispatched},
-		{"completed", "services completed by the backend", &m.Completed},
-		{"dropped", "requests dropped at dispatch past their deadline", &m.Dropped},
-		{"abandoned", "requests abandoned by Stop or cancellation", &m.Abandoned},
-		{"backpressure_waits", "Submit calls that blocked on the queue quota", &m.BackpressureWaits},
-		{"drains", "completed graceful shutdowns", &m.Drains},
-		{"head_travel_cylinders", "cumulative emulated head movement", &m.HeadTravelCylinders},
-		{"inflight", "services currently running on the backend", &m.InFlight},
-		{"model_latency_us", "arrival-to-completion time on the model clock, microseconds", &m.ModelLatency},
-		{"wall_service_us", "wall-clock time per backend service, microseconds", &m.WallService},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}
 
 // CalibMetrics exposes the latest calibration scores under the
 // sfcsched_calib_* prefix. Scores are float ratios stored in gauges as
@@ -85,50 +50,22 @@ func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
 // of 100% or a correlation of 1.0.
 type CalibMetrics struct {
 	// Runs counts completed calibration runs.
-	Runs obs.Counter
+	Runs obs.Counter `metric:"runs" help:"completed calibration runs"`
 	// AlignedRequests counts requests matched between the simulated and
 	// live records across all runs.
-	AlignedRequests obs.Counter
+	AlignedRequests obs.Counter `metric:"aligned_requests" help:"requests matched between sim and live records"`
 	// LatencyMAPEPpm is the last run's per-request latency MAPE, ppm
 	// (1e6 = 100%). -1 when the score was undefined.
-	LatencyMAPEPpm obs.Gauge
+	LatencyMAPEPpm obs.Gauge `metric:"latency_mape_ppm" help:"last run's per-request latency MAPE, ppm (1e6 = 100%)"`
 	// OrderPearsonPpm is the last run's Pearson correlation between
 	// simulated and live dispatch ranks, ppm (1e6 = r of 1.0). -2e6 when
 	// the score was undefined.
-	OrderPearsonPpm obs.Gauge
+	OrderPearsonPpm obs.Gauge `metric:"order_pearson_ppm" help:"last run's dispatch-order Pearson r, ppm (1e6 = 1.0)"`
 	// HeadTravelDeltaPpm is the last run's live-vs-sim head-travel
 	// difference relative to sim, ppm.
-	HeadTravelDeltaPpm obs.Gauge
+	HeadTravelDeltaPpm obs.Gauge `metric:"head_travel_delta_ppm" help:"last run's (live-sim)/sim head-travel delta, ppm"`
 }
 
 // DefaultCalibMetrics is the process-wide aggregate Calibrate reports into
 // unless overridden via CalibrationConfig.CalibMetrics.
 var DefaultCalibMetrics = &CalibMetrics{}
-
-// Register registers every field of m under prefix (conventionally
-// "sfcsched_calib") in reg.
-func (m *CalibMetrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"runs", "completed calibration runs", &m.Runs},
-		{"aligned_requests", "requests matched between sim and live records", &m.AlignedRequests},
-		{"latency_mape_ppm", "last run's per-request latency MAPE, ppm (1e6 = 100%)", &m.LatencyMAPEPpm},
-		{"order_pearson_ppm", "last run's dispatch-order Pearson r, ppm (1e6 = 1.0)", &m.OrderPearsonPpm},
-		{"head_travel_delta_ppm", "last run's (live-sim)/sim head-travel delta, ppm", &m.HeadTravelDeltaPpm},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustRegister is Register for static wiring.
-func (m *CalibMetrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

@@ -54,7 +54,7 @@ func reuseBenchWorkload() workload.Open {
 func TestRunReuseSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
-	trace := reuseBenchWorkload().MustGenerateArena(&arena)
+	trace := workload.Must(reuseBenchWorkload().GenerateArena(&arena))
 	var ru Reuse
 	cfg := Config{
 		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
@@ -78,13 +78,13 @@ func TestRunReuseSteadyStateAllocs(t *testing.T) {
 // reseeded RNG stream.
 func TestReuseMatchesFreshRun(t *testing.T) {
 	var arena workload.Arena
-	trace := reuseBenchWorkload().MustGenerateArena(&arena)
+	trace := workload.Must(reuseBenchWorkload().GenerateArena(&arena))
 	opts := Options{DropLate: true, Seed: 7, Dims: 3, Levels: 8, SampleRotation: true}
 	fresh := MustRun(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: opts}, trace)
 
 	var ru Reuse
 	// Dirty the Reuse with a different shape, seed, and scheduler first.
-	other := workload.Open{Seed: 2, Count: 500, MeanInterarrival: 8_000, Dims: 1, Levels: 4, Cylinders: 3832, Size: 4 << 10}.MustGenerate()
+	other := workload.Must(workload.Open{Seed: 2, Count: 500, MeanInterarrival: 8_000, Dims: 1, Levels: 4, Cylinders: 3832, Size: 4 << 10}.Generate())
 	MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Reuse: &ru,
 		Options: Options{Seed: 99, Dims: 1, Levels: 4, SampleRotation: true}}, other)
 
@@ -109,7 +109,7 @@ func TestReuseMatchesFreshRun(t *testing.T) {
 func TestRunObservabilityDisabledAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
-	trace := reuseBenchWorkload().MustGenerateArena(&arena)
+	trace := workload.Must(reuseBenchWorkload().GenerateArena(&arena))
 	var ru Reuse
 	cfg := Config{
 		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
@@ -131,7 +131,7 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
-	trace := reuseBenchWorkload().MustGenerateArena(&arena)
+	trace := workload.Must(reuseBenchWorkload().GenerateArena(&arena))
 	var ru Reuse
 	dt := NewDecisionTrace(512)
 	dt.SetMetrics(&DecisionMetrics{})

@@ -156,12 +156,12 @@ func TestArrayAbandonsWritePhaseAfterMiss(t *testing.T) {
 func TestArrayDeterministic(t *testing.T) {
 	array := testArray(t)
 	mk := func() []*core.Request {
-		trace := workload.Streams{
+		trace := workload.Must(workload.Streams{
 			Seed: 3, Users: 20, Duration: 5_000_000,
 			BitRate: 1e6, BlockSize: 64 << 10, Levels: 8,
 			DeadlineMin: 500_000, DeadlineMax: 900_000,
 			Cylinders: 10000, WriteFrac: 0.3, Burst: 2,
-		}.MustGenerate()
+		}.Generate())
 		return trace
 	}
 	cfg := ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{DropLate: true, Dims: 1, Levels: 8}}

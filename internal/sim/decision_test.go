@@ -15,11 +15,11 @@ import (
 // decisionWorkload generates the standard small workload used by the
 // decision-layer tests.
 func decisionWorkload(seed uint64) []*core.Request {
-	return workload.Open{
+	return workload.Must(workload.Open{
 		Seed: seed, Count: 400, MeanInterarrival: 12_000,
 		Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 500_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 128 << 10,
-	}.MustGenerate()
+	}.Generate())
 }
 
 func cascadedScheduler() sched.Scheduler {

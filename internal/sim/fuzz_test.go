@@ -67,11 +67,11 @@ func FuzzEngineDeterminism(f *testing.F) {
 			return
 		}
 		plan := fuzzPlan(seed, rateB, failB, false)
-		trace := workload.Open{
+		trace := workload.Must(workload.Open{
 			Seed: seed, Count: count, MeanInterarrival: 15_000,
 			Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 400_000,
 			Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
-		}.MustGenerate()
+		}.Generate())
 		run := func() ([]flatEvent, *Result) {
 			var events []flatEvent
 			res, err := Run(Config{Disk: m, Scheduler: sched.NewSCANEDF(50_000),
@@ -218,11 +218,11 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 	f.Add(uint64(42), uint16(50), false, byte(3))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, drop bool, shadowSel byte) {
 		m := disk.MustModel(disk.QuantumXP32150Params())
-		trace := workload.Open{
+		trace := workload.Must(workload.Open{
 			Seed: seed, Count: 50 + int(n)%300, MeanInterarrival: 15_000,
 			Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 400_000,
 			Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
-		}.MustGenerate()
+		}.Generate())
 		shadows := []string{"scan-edf", "fcfs", "sstf", "edf"}
 		run := func(attach bool) ([]flatEvent, *Result) {
 			var events []flatEvent

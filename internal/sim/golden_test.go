@@ -63,11 +63,11 @@ func dispatcherStats(s sched.Scheduler) (core.DispatchStats, bool) {
 // engine fixed — so out-of-range cylinders would be a semantic difference,
 // not a regression).
 func goldenTrace(seed uint64, m *disk.Model) []*core.Request {
-	return workload.Open{
+	return workload.Must(workload.Open{
 		Seed: seed, Count: 600, MeanInterarrival: 20_000,
 		Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 500_000,
 		Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
-	}.MustGenerate()
+	}.Generate())
 }
 
 // flatEvent is a TraceEvent with the Request pointer flattened to its ID so
@@ -163,12 +163,12 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 // read-modify-write path (deferred write phase, abandonment on miss) is
 // exercised by the differential run.
 func goldenArrayTrace(seed uint64, array *disk.RAID5) []*core.Request {
-	return workload.Streams{
+	return workload.Must(workload.Streams{
 		Seed: seed, Users: 24, Duration: 4_000_000,
 		BitRate: 1_200_000, BlockSize: array.BlockSize, Levels: 8,
 		DeadlineMin: 300_000, DeadlineMax: 700_000,
 		Cylinders: int(array.MaxBlocks()), WriteFrac: 0.3, Burst: 3,
-	}.MustGenerate()
+	}.Generate())
 }
 
 func TestEngineMatchesLegacyArray(t *testing.T) {

@@ -27,11 +27,11 @@ func invariantScheduler(name string) sched.Scheduler {
 // request conservation, non-negative times, busy time within makespan,
 // and seek accounted within service.
 func TestRunInvariants(t *testing.T) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 3, Count: 1500, MeanInterarrival: 12_000,
 		Dims: 2, Levels: 8, DeadlineMin: 200_000, DeadlineMax: 700_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 64 << 10,
-	}.MustGenerate()
+	}.Generate())
 	for _, name := range sched.Names() {
 		for _, drop := range []bool{false, true} {
 			res := MustRun(Config{
@@ -66,10 +66,10 @@ func TestRunInvariants(t *testing.T) {
 // A simple sufficient check: with a saturating workload (arrivals faster
 // than service), makespan ~= first arrival + total service time.
 func TestWorkConservation(t *testing.T) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 4, Count: 800, MeanInterarrival: 1_000,
 		Dims: 1, Levels: 8, Cylinders: 3832, Size: 64 << 10,
-	}.MustGenerate()
+	}.Generate())
 	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 4}}, trace)
 	idle := res.Makespan - res.ServiceTime
 	if idle > trace[0].Arrival+1000 {
@@ -115,11 +115,11 @@ func TestFIFOMatchesArrivalOrderWaits(t *testing.T) {
 // must land between the specialists on their own turf: no more misses
 // than FCFS, no more seek than EDF, under the mixed workload.
 func TestCascadedFullStackAgainstBaselines(t *testing.T) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 5, Count: 3000, MeanInterarrival: 13_000,
 		Dims: 3, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 256 << 10,
-	}.MustGenerate()
+	}.Generate())
 	run := func(s sched.Scheduler, drop bool) *Result {
 		return MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: drop, Dims: 3, Levels: 8, Seed: 5}}, trace)
 	}

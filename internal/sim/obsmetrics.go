@@ -13,56 +13,26 @@ import "sfcsched/internal/obs"
 // path is unaffected.
 type DecisionMetrics struct {
 	// Decisions counts captured dispatch decisions (served or dropped).
-	Decisions obs.Counter
+	Decisions obs.Counter `metric:"decisions" help:"dispatch decisions captured by decision tracing"`
 	// Drops counts captured decisions that were deadline drops.
-	Drops obs.Counter
+	Drops obs.Counter `metric:"drops" help:"captured decisions that were deadline drops"`
 	// CandidateDepth is the distribution of candidate-set sizes at
 	// decision time (the queue depth the dispatcher chose from).
-	CandidateDepth obs.Histogram
+	CandidateDepth obs.Histogram `metric:"candidate_depth" help:"candidate-set size at decision time"`
 	// ChoiceSlack is the distribution of the chosen request's deadline
 	// slack at dispatch, µs (negative slack clamps to 0; requests without
 	// deadlines are not recorded).
-	ChoiceSlack obs.Histogram
+	ChoiceSlack obs.Histogram `metric:"choice_slack_us" help:"deadline slack of the chosen request at dispatch, microseconds"`
 	// ShadowDecisions counts primary dispatches observed by shadows.
-	ShadowDecisions obs.Counter
+	ShadowDecisions obs.Counter `metric:"shadow_decisions" help:"primary dispatches observed by shadow schedulers"`
 	// ShadowDisagreements counts shadow decisions that picked a different
 	// request than the primary scheduler.
-	ShadowDisagreements obs.Counter
+	ShadowDisagreements obs.Counter `metric:"shadow_disagreements" help:"shadow choices that differed from the primary"`
 	// TelemetrySamples counts telemetry rows recorded (one per station per
 	// sampling boundary).
-	TelemetrySamples obs.Counter
+	TelemetrySamples obs.Counter `metric:"telemetry_samples" help:"telemetry rows recorded"`
 }
 
 // DefaultDecisionMetrics is the process-wide aggregate every DecisionTrace,
 // Shadow and Telemetry reports into unless overridden.
 var DefaultDecisionMetrics = &DecisionMetrics{}
-
-// Register registers every field of m under prefix (e.g.
-// "sfcsched_decision") in reg.
-func (m *DecisionMetrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"decisions", "dispatch decisions captured by decision tracing", &m.Decisions},
-		{"drops", "captured decisions that were deadline drops", &m.Drops},
-		{"candidate_depth", "candidate-set size at decision time", &m.CandidateDepth},
-		{"choice_slack_us", "deadline slack of the chosen request at dispatch, microseconds", &m.ChoiceSlack},
-		{"shadow_decisions", "primary dispatches observed by shadow schedulers", &m.ShadowDecisions},
-		{"shadow_disagreements", "shadow choices that differed from the primary", &m.ShadowDisagreements},
-		{"telemetry_samples", "telemetry rows recorded", &m.TelemetrySamples},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustRegister is Register for static wiring.
-func (m *DecisionMetrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

@@ -12,11 +12,11 @@ import (
 func xp() *disk.Model { return disk.MustModel(disk.QuantumXP32150Params()) }
 
 func smallTrace() []*core.Request {
-	return workload.Open{
+	return workload.Must(workload.Open{
 		Seed: 7, Count: 500, MeanInterarrival: 25_000,
 		Dims: 2, Levels: 8, DeadlineMin: 200_000, DeadlineMax: 400_000,
 		Cylinders: 3832, Size: 64 << 10,
-	}.MustGenerate()
+	}.Generate())
 }
 
 func TestRunServesEverythingFCFS(t *testing.T) {
@@ -51,10 +51,10 @@ func TestFCFSHasNoDropUnlessConfigured(t *testing.T) {
 }
 
 func TestSSTFBeatsFCFSOnSeek(t *testing.T) {
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 11, Count: 2000, MeanInterarrival: 5_000,
 		Dims: 1, Levels: 8, Cylinders: 3832, Size: 16 << 10,
-	}.MustGenerate()
+	}.Generate())
 	fcfs := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS()}, trace)
 	sstf := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, trace)
 	if sstf.SeekTime >= fcfs.SeekTime {
@@ -65,11 +65,11 @@ func TestSSTFBeatsFCFSOnSeek(t *testing.T) {
 func TestEDFBeatsFCFSOnMisses(t *testing.T) {
 	// Moderate overload: EDF's triage matters when the disk can almost
 	// keep up; under extreme overload every policy drops at capacity.
-	trace := workload.Open{
+	trace := workload.Must(workload.Open{
 		Seed: 13, Count: 2000, MeanInterarrival: 25_000,
 		Dims: 1, Levels: 8, DeadlineMin: 30_000, DeadlineMax: 300_000,
 		Cylinders: 3832, Size: 64 << 10,
-	}.MustGenerate()
+	}.Generate())
 	fcfs := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Options: Options{DropLate: true}}, trace)
 	edf := MustRun(Config{Disk: xp(), Scheduler: sched.NewEDF(), Options: Options{DropLate: true}}, trace)
 	if fcfs.TotalMisses() == 0 {

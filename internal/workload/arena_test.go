@@ -13,7 +13,7 @@ import (
 
 // openVariants covers every draw path of the Open generator: each branch
 // that consumes RNG draws must be exercised so a draw-order divergence
-// between Generate and GenerateArena cannot hide.
+// between GenerateArena and the legacy allocating body cannot hide.
 func openVariants() []Open {
 	return []Open{
 		{Seed: 1, Count: 500, MeanInterarrival: 10_000, Dims: 3, Levels: 8,
@@ -48,7 +48,9 @@ func sameTrace(t *testing.T, label string, plain, arena []*core.Request) {
 func TestOpenGenerateArenaMatchesGenerate(t *testing.T) {
 	for vi, w := range openVariants() {
 		var a Arena
-		sameTrace(t, fmt.Sprintf("variant %d", vi), w.MustGenerate(), w.MustGenerateArena(&a))
+		want := Must(legacyOpenGenerate(w))
+		sameTrace(t, fmt.Sprintf("variant %d", vi), want, Must(w.GenerateArena(&a)))
+		sameTrace(t, fmt.Sprintf("variant %d fresh", vi), want, Must(w.Generate()))
 	}
 }
 
@@ -59,7 +61,10 @@ func TestStreamsGenerateArenaMatchesGenerate(t *testing.T) {
 		Cylinders: 3832, WriteFrac: 0.2, Burst: 3,
 	}
 	var a Arena
-	sameTrace(t, "streams", s.MustGenerate(), s.MustGenerateArena(&a))
+	want := Must(legacyStreamsGenerate(s))
+	sameTrace(t, "streams", want, Must(s.GenerateArena(&a)))
+	sameTrace(t, "streams fresh", want, Must(s.Generate()))
+	sameTrace(t, "paper streams", Must(legacyStreamsGenerate(streamCfg())), Must(streamCfg().GenerateArena(&a)))
 }
 
 // Regenerating into the same arena must recycle the slabs (same backing
@@ -69,17 +74,17 @@ func TestStreamsGenerateArenaMatchesGenerate(t *testing.T) {
 func TestArenaRecyclesSlabs(t *testing.T) {
 	w := openVariants()[0]
 	var a Arena
-	first := w.MustGenerateArena(&a)
+	first := Must(w.GenerateArena(&a))
 	p0 := first[0]
-	second := w.MustGenerateArena(&a)
+	second := Must(w.GenerateArena(&a))
 	if second[0] != p0 {
 		t.Error("regeneration reallocated the request slab for an identical config")
 	}
-	sameTrace(t, "regenerated", w.MustGenerate(), second)
+	sameTrace(t, "regenerated", Must(legacyOpenGenerate(w)), second)
 
 	smaller := openVariants()[3] // dims 0, shorter: stale priorities must not leak
-	sameTrace(t, "shrunk", smaller.MustGenerate(), smaller.MustGenerateArena(&a))
-	sameTrace(t, "regrown", w.MustGenerate(), w.MustGenerateArena(&a))
+	sameTrace(t, "shrunk", Must(legacyOpenGenerate(smaller)), Must(smaller.GenerateArena(&a)))
+	sameTrace(t, "regrown", Must(legacyOpenGenerate(w)), Must(w.GenerateArena(&a)))
 }
 
 func TestGenerateArenaSteadyStateAllocs(t *testing.T) {
@@ -88,9 +93,9 @@ func TestGenerateArenaSteadyStateAllocs(t *testing.T) {
 	}
 	w := openVariants()[0]
 	var a Arena
-	w.MustGenerateArena(&a) // size the slabs
+	Must(w.GenerateArena(&a)) // size the slabs
 	allocs := testing.AllocsPerRun(10, func() {
-		if got := w.MustGenerateArena(&a); len(got) != w.Count {
+		if got := Must(w.GenerateArena(&a)); len(got) != w.Count {
 			t.Fatal("short trace")
 		}
 	})
@@ -102,7 +107,7 @@ func TestGenerateArenaSteadyStateAllocs(t *testing.T) {
 // WriteCSV hand-appends its rows; the bytes must match encoding/csv
 // exactly (same header, same "\n" endings, no quoting).
 func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
-	trace := openVariants()[0].MustGenerate()
+	trace := Must(openVariants()[0].Generate())
 	trace = append(trace, &core.Request{}) // zero row
 	dims := 3
 	var got bytes.Buffer
@@ -176,10 +181,10 @@ func BenchmarkArenaGenerate(b *testing.B) {
 		DeadlineMin: 500_000, DeadlineMax: 700_000, Cylinders: 3832, Size: 64 << 10,
 	}
 	var a Arena
-	w.MustGenerateArena(&a)
+	Must(w.GenerateArena(&a))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := w.MustGenerateArena(&a); len(got) != w.Count {
+		if got := Must(w.GenerateArena(&a)); len(got) != w.Count {
 			b.Fatal("short trace")
 		}
 	}
@@ -193,7 +198,7 @@ func BenchmarkPlainGenerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := w.MustGenerate(); len(got) != w.Count {
+		if got := Must(w.Generate()); len(got) != w.Count {
 			b.Fatal("short trace")
 		}
 	}

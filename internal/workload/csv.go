@@ -86,8 +86,10 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 		return nil, fmt.Errorf("workload: unrecognized trace header %v", header)
 	}
 	dims := len(header) - fixed
-	// Slab chunks are fixed-size and never grown in place, so pointers and
-	// subslices into a full chunk stay valid when the next chunk starts.
+	// Slab chunks are never grown in place, so pointers and subslices into
+	// a full chunk stay valid when the next chunk starts. Chunk capacity
+	// doubles from one row up to slab rows: allocation follows the rows
+	// actually read, not the width of the header.
 	const slab = 1024
 	var reqSlab []core.Request
 	var prioSlab []int
@@ -104,7 +106,9 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 			return nil, fmt.Errorf("workload: line %d: %d fields, want %d", line, len(row), fixed+dims)
 		}
 		if len(reqSlab) == cap(reqSlab) {
-			reqSlab = make([]core.Request, 0, slab)
+			n := min(max(2*cap(reqSlab), 1), slab)
+			reqSlab = make([]core.Request, 0, n)
+			prioSlab = make([]int, 0, n*dims) // fills in step with reqSlab
 		}
 		reqSlab = reqSlab[:len(reqSlab)+1]
 		req := &reqSlab[len(reqSlab)-1]
@@ -130,13 +134,6 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 			return nil, fmt.Errorf("workload: line %d value: %w", line, err)
 		}
 		if dims > 0 {
-			if len(prioSlab)+dims > cap(prioSlab) {
-				n := slab * dims
-				if n < dims {
-					n = dims
-				}
-				prioSlab = make([]int, 0, n)
-			}
 			base := len(prioSlab)
 			prioSlab = prioSlab[:base+dims]
 			req.Priorities = prioSlab[base : base+dims : base+dims]

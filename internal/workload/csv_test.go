@@ -7,12 +7,12 @@ import (
 )
 
 func TestCSVRoundTrip(t *testing.T) {
-	trace := Open{
+	trace := Must(Open{
 		Seed: 9, Count: 200, MeanInterarrival: 10_000,
 		Dims: 3, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 300_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 64 << 10,
 		WriteFrac: 0.3, ValueLevels: 5,
-	}.MustGenerate()
+	}.Generate())
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, trace, 3); err != nil {
 		t.Fatal(err)
@@ -41,9 +41,9 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVZeroDims(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, Open{
+	if err := WriteCSV(&buf, Must(Open{
 		Seed: 1, Count: 5, MeanInterarrival: 1000, Levels: 1,
-	}.MustGenerate(), 0); err != nil {
+	}.Generate()), 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSV(&buf)

@@ -109,15 +109,22 @@ func loadReplayJSONL(br *bufio.Reader) (*Replay, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: reading replay trace: %w", err)
 	}
-	dims := 0
+	dims, withPrio := 0, 0
 	for i := range lines {
 		if d := len(lines[i].Prio); d > 0 {
+			withPrio++
 			if dims == 0 {
 				dims = d
 			} else if d != dims {
 				return nil, fmt.Errorf("workload: replay trace mixes priority dimensionalities %d and %d", dims, d)
 			}
 		}
+	}
+	if withPrio > 0 && withPrio < len(lines) {
+		// A recorder writes prio on every line or on none; a mix means a
+		// spliced or damaged trace, and padding the gaps with level-0
+		// vectors would invent priorities.
+		return nil, fmt.Errorf("workload: replay trace mixes %d requests with priorities and %d without", withPrio, len(lines)-withPrio)
 	}
 	p := &Replay{
 		reqs: make([]core.Request, len(lines)),
@@ -198,44 +205,25 @@ func (p *Replay) Len() int { return len(p.reqs) }
 // none carried priorities).
 func (p *Replay) Dims() int { return p.dims }
 
-// Generate returns a fresh copy of the recorded trace in arrival order.
-// Like the generator forms it allocates every request; unlike them it
-// consumes no RNG draws — the same Replay always yields the same trace.
-func (p *Replay) Generate() []*core.Request {
-	reqs := make([]*core.Request, len(p.reqs))
-	for i := range p.reqs {
-		r := &core.Request{}
+// GenerateArena copies the recorded trace, in arrival order, into a's
+// slabs (a nil arena means a fresh one); allocation-free once the slabs
+// have grown to size. Unlike the generators it consumes no RNG draws: the
+// same Replay always yields the same trace.
+func (p *Replay) GenerateArena(a *Arena) []*core.Request {
+	if a == nil {
+		a = new(Arena)
+	}
+	reqs := a.alloc(len(p.reqs), p.dims)
+	for i, r := range reqs {
+		// The canonical sort moved requests but not the backing slab, so
+		// vectors are copied per request, not slab to slab.
+		prio := r.Priorities
 		*r = p.reqs[i]
-		if p.dims > 0 {
-			r.Priorities = make([]int, p.dims)
-			copy(r.Priorities, p.reqs[i].Priorities)
-		}
-		reqs[i] = r
+		r.Priorities = prio
+		copy(prio, p.reqs[i].Priorities)
 	}
 	return reqs
 }
 
-// GenerateArena builds the same trace as Generate into a's slabs,
-// allocation-free once the slabs have grown to size. A nil arena falls
-// back to Generate.
-func (p *Replay) GenerateArena(a *Arena) []*core.Request {
-	if a == nil {
-		return p.Generate()
-	}
-	n := len(p.reqs)
-	reqs := a.requests(n)
-	prio := a.priorities(n * p.dims)
-	ptrs := a.pointers(n)
-	for i := range reqs {
-		reqs[i] = p.reqs[i]
-		if p.dims > 0 {
-			// The canonical sort moved requests but not the backing slab,
-			// so vectors are copied per request, not slab to slab.
-			v := prio[i*p.dims : (i+1)*p.dims : (i+1)*p.dims]
-			copy(v, p.reqs[i].Priorities)
-			reqs[i].Priorities = v
-		}
-		ptrs[i] = &reqs[i]
-	}
-	return ptrs
-}
+// Generate is GenerateArena into a fresh arena.
+func (p *Replay) Generate() []*core.Request { return p.GenerateArena(nil) }

@@ -63,7 +63,7 @@ func sameRequest(t *testing.T, i int, want, got *core.Request) {
 // A recorded request CSV replays to the exact generated trace.
 func TestLoadReplayCSV(t *testing.T) {
 	w := openVariants()[0]
-	trace := w.MustGenerate()
+	trace := Must(w.Generate())
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, trace, w.Dims); err != nil {
 		t.Fatal(err)
@@ -105,6 +105,8 @@ func TestLoadReplayErrors(t *testing.T) {
 		{"array-trace", `{"now":1,"disk":2,"id":1,"cyl":0,"arrival":0,"wait":1,"head":0,"queue":0}` + "\n", "disk"},
 		{"mixed-dims", `{"now":1,"id":1,"cyl":0,"arrival":0,"wait":1,"prio":[1],"head":0,"queue":0}` + "\n" +
 			`{"now":2,"id":2,"cyl":0,"arrival":1,"wait":1,"prio":[1,2],"head":0,"queue":0}` + "\n", "dimensionalities"},
+		{"mixed-prio", `{"now":1,"id":1,"cyl":0,"arrival":0,"wait":1,"prio":[1,2],"head":0,"queue":0}` + "\n" +
+			`{"now":2,"id":2,"cyl":0,"arrival":1,"wait":1,"head":0,"queue":0}` + "\n", "with priorities and 1 without"},
 		{"bad-csv", "id,arrival_us,deadline_us,cylinder,size,write,value\nnope,0,0,0,0,false,0\n", "id"},
 		{"wrong-header", "bogus,header\n1,2\n", "header"},
 	}
@@ -124,8 +126,8 @@ func TestReplayGenerateArenaMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a Arena
-	sameTrace(t, "replay arena", p.Generate(), p.GenerateArena(&a))
-	sameTrace(t, "nil arena", p.Generate(), p.GenerateArena(nil))
+	sameTrace(t, "replay arena", legacyReplayGenerate(p), p.GenerateArena(&a))
+	sameTrace(t, "nil arena", legacyReplayGenerate(p), p.GenerateArena(nil))
 	// A second generation through the same arena recycles the slabs.
 	first := p.GenerateArena(&a)
 	p0 := first[0]
@@ -138,7 +140,7 @@ func TestReplayArenaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under -race")
 	}
-	trace := openVariants()[0].MustGenerate()
+	trace := Must(openVariants()[0].Generate())
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, trace, 3); err != nil {
 		t.Fatal(err)

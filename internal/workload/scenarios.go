@@ -103,12 +103,3 @@ func ScenarioSpec(name string, seed uint64, requests, cylinders int) (Spec, erro
 	}
 	return Spec{}, fmt.Errorf("workload: unknown scenario %q (have %v)", name, Scenarios())
 }
-
-// MustScenarioSpec is ScenarioSpec for static configurations.
-func MustScenarioSpec(name string, seed uint64, requests, cylinders int) Spec {
-	s, err := ScenarioSpec(name, seed, requests, cylinders)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

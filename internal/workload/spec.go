@@ -231,141 +231,104 @@ func (s Spec) clientRNG(i int) *stats.RNG {
 	return stats.NewRNG(s.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15))
 }
 
-// generate fills client c's requests through fill, which must return the
-// i-th request with its Priorities already sized to c.Dims. Both Generate
-// forms funnel through here, so they consume the client stream identically
-// draw for draw. Per request the draw order is: gap (first request of each
-// burst epoch only), priority levels, deadline, cylinder (uniform
-// placement only), write, value.
-func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
-	var zipf *stats.Zipf
-	if c.Dist == Zipf {
-		zipf = stats.NewZipf(rng.Split(), c.Levels, 1.0)
+// levelZipf splits the Zipf level stream off rng when c draws Zipf levels;
+// otherwise it draws nothing and returns nil.
+func (c *Client) levelZipf(rng *stats.RNG) *stats.Zipf {
+	if c.Dist != Zipf {
+		return nil
 	}
-	burst := c.Burst
-	if burst < 1 {
-		burst = 1
+	return stats.NewZipf(rng.Split(), c.Levels, 1.0)
+}
+
+// draw fills r's drawn fields in the fixed per-request order of every
+// generator: priority levels, deadline (relative to r.Arrival), size,
+// cylinder in [lo, hi) when hi > lo, write, value. r.Priorities must
+// already have length c.Dims, and zipf must come from c.levelZipf.
+func (c *Client) draw(rng *stats.RNG, zipf *stats.Zipf, r *core.Request, lo, hi int) {
+	for k := range r.Priorities {
+		switch c.Dist {
+		case Normal:
+			r.Priorities[k] = rng.NormalLevel(c.Levels, 0.25)
+		case Zipf:
+			r.Priorities[k] = zipf.Draw()
+		default:
+			r.Priorities[k] = rng.Intn(c.Levels)
+		}
 	}
-	lo, hi := c.zone()
-	seq := lo // sequential walk position
-	now := c.Start
-	for i := 0; i < c.Count; i++ {
-		if i%burst == 0 {
-			now += c.gap(rng, now)
+	if c.DeadlineMax > 0 {
+		r.Deadline = r.Arrival + c.DeadlineMin
+		if span := c.DeadlineMax - c.DeadlineMin; span > 0 {
+			r.Deadline += int64(rng.Uint64n(uint64(span) + 1))
 		}
-		r := fill(i)
-		r.Arrival = now
-		r.Size = c.Size
-		r.Tenant = c.Tenant
-		r.Class = c.Class
-		for k := range r.Priorities {
-			r.Priorities[k] = drawLevel(rng, zipf, c.Dist, c.Levels)
+	}
+	r.Size = c.Size
+	if c.SizeMin > 0 && c.SizeMax >= c.SizeMin && c.Dims > 0 && c.Levels > 1 {
+		var sum int64
+		for _, l := range r.Priorities {
+			sum += int64(l)
 		}
-		if c.DeadlineMax > 0 {
-			r.Deadline = now + c.DeadlineMin
-			if span := c.DeadlineMax - c.DeadlineMin; span > 0 {
-				r.Deadline += int64(rng.Uint64n(uint64(span) + 1))
-			}
-		}
-		if c.SizeMin > 0 && c.SizeMax >= c.SizeMin && c.Dims > 0 && c.Levels > 1 {
-			var sum int64
-			for _, l := range r.Priorities {
-				sum += int64(l)
-			}
-			r.Size = c.SizeMin + (c.SizeMax-c.SizeMin)*sum/int64(c.Dims*(c.Levels-1))
-		}
-		if hi > lo {
-			if c.Sequential {
-				r.Cylinder = seq
-				seq++
-				if seq >= hi {
-					seq = lo
-				}
-			} else {
-				r.Cylinder = lo + rng.Intn(hi-lo)
-			}
-		}
-		if c.WriteFrac > 0 && rng.Float64() < c.WriteFrac {
-			r.Write = true
-		}
-		if c.ValueLevels > 0 {
-			r.Value = 1 + rng.Intn(c.ValueLevels)
-		}
+		r.Size = c.SizeMin + (c.SizeMax-c.SizeMin)*sum/int64(c.Dims*(c.Levels-1))
+	}
+	if hi > lo {
+		r.Cylinder = lo + rng.Intn(hi-lo)
+	}
+	if c.WriteFrac > 0 && rng.Float64() < c.WriteFrac {
+		r.Write = true
+	}
+	if c.ValueLevels > 0 {
+		r.Value = 1 + rng.Intn(c.ValueLevels)
 	}
 }
 
-// Generate builds the merged trace, sorted by arrival with IDs reassigned
-// 1..n. It is deterministic in the spec.
-func (s Spec) Generate() ([]*core.Request, error) {
+// generate fills the client's requests, in issue order, from its private
+// stream: per request an arrival gap (first request of each burst epoch
+// only), then the draw fields.
+func (c *Client) generate(rng *stats.RNG, reqs []*core.Request) {
+	zipf := c.levelZipf(rng)
+	burst := max(c.Burst, 1)
+	lo, hi := c.zone()
+	seq := lo // sequential walk position
+	now := c.Start
+	for i, r := range reqs {
+		if i%burst == 0 {
+			now += c.gap(rng, now)
+		}
+		r.Arrival = now
+		r.Tenant = c.Tenant
+		r.Class = c.Class
+		dlo, dhi := lo, hi
+		if c.Sequential && hi > lo {
+			// The walk places the cylinder without a draw.
+			r.Cylinder, dlo, dhi = seq, 0, 0
+			if seq++; seq >= hi {
+				seq = lo
+			}
+		}
+		c.draw(rng, zipf, r, dlo, dhi)
+	}
+}
+
+// GenerateArena builds the merged trace into a's slabs (a nil arena means
+// a fresh one), sorted by arrival with IDs reassigned 1..n. It is
+// deterministic in the spec.
+func (s Spec) GenerateArena(a *Arena) ([]*core.Request, error) {
 	dims, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]*core.Request, 0, s.Count())
-	for ci, c := range s.Clients {
-		rng := s.clientRNG(ci)
-		base := len(reqs)
-		for i := 0; i < c.Count; i++ {
-			r := &core.Request{}
-			if dims > 0 {
-				r.Priorities = make([]int, dims)
-			}
-			reqs = append(reqs, r)
-		}
-		c.generate(rng, func(i int) *core.Request { return reqs[base+i] })
+	if a == nil {
+		a = new(Arena)
+	}
+	reqs := a.alloc(s.Count(), dims)
+	base := 0
+	for ci := range s.Clients {
+		c := &s.Clients[ci]
+		c.generate(s.clientRNG(ci), reqs[base:base+c.Count])
+		base += c.Count
 	}
 	sortAndRenumber(reqs)
 	return reqs, nil
 }
 
-// MustGenerate is Generate for static configurations.
-func (s Spec) MustGenerate() []*core.Request {
-	reqs, err := s.Generate()
-	if err != nil {
-		panic(err)
-	}
-	return reqs
-}
-
-// GenerateArena builds the same trace as Generate — identical requests in
-// identical order — into a's slabs. A nil arena falls back to Generate.
-func (s Spec) GenerateArena(a *Arena) ([]*core.Request, error) {
-	if a == nil {
-		return s.Generate()
-	}
-	dims, err := s.validate()
-	if err != nil {
-		return nil, err
-	}
-	total := s.Count()
-	reqs := a.requests(total)
-	prio := a.priorities(total * dims)
-	ptrs := a.pointers(total)
-	base := 0
-	for ci, c := range s.Clients {
-		rng := s.clientRNG(ci)
-		b := base
-		c.generate(rng, func(i int) *core.Request {
-			r := &reqs[b+i]
-			if dims > 0 {
-				r.Priorities = prio[(b+i)*dims : (b+i+1)*dims : (b+i+1)*dims]
-			}
-			return r
-		})
-		base += c.Count
-	}
-	for i := range reqs {
-		ptrs[i] = &reqs[i]
-	}
-	sortAndRenumber(ptrs)
-	return ptrs, nil
-}
-
-// MustGenerateArena is GenerateArena for static configurations.
-func (s Spec) MustGenerateArena(a *Arena) []*core.Request {
-	reqs, err := s.GenerateArena(a)
-	if err != nil {
-		panic(err)
-	}
-	return reqs
-}
+// Generate is GenerateArena into a fresh arena.
+func (s Spec) Generate() ([]*core.Request, error) { return s.GenerateArena(nil) }

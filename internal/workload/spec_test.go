@@ -12,7 +12,8 @@ import (
 
 // specVariants covers every draw path of the Spec generator, mirroring
 // openVariants: each branch that consumes RNG draws must be exercised so
-// a draw-order divergence between Generate and GenerateArena cannot hide.
+// a draw-order divergence between GenerateArena and the legacy body
+// cannot hide.
 func specVariants() []Spec {
 	return []Spec{
 		// Single Poisson client, the §5 shape.
@@ -60,13 +61,15 @@ func specVariants() []Spec {
 func TestSpecGenerateArenaMatchesGenerate(t *testing.T) {
 	for vi, s := range specVariants() {
 		var a Arena
-		sameTrace(t, fmt.Sprintf("variant %d", vi), s.MustGenerate(), s.MustGenerateArena(&a))
+		want := Must(legacySpecGenerate(s))
+		sameTrace(t, fmt.Sprintf("variant %d", vi), want, Must(s.GenerateArena(&a)))
+		sameTrace(t, fmt.Sprintf("variant %d fresh", vi), want, Must(s.Generate()))
 	}
 }
 
 func TestSpecDeterminism(t *testing.T) {
 	s := specVariants()[4]
-	sameTrace(t, "repeat", s.MustGenerate(), s.MustGenerate())
+	sameTrace(t, "repeat", Must(s.Generate()), Must(s.Generate()))
 }
 
 func TestSpecArenaSteadyStateAllocs(t *testing.T) {
@@ -75,9 +78,9 @@ func TestSpecArenaSteadyStateAllocs(t *testing.T) {
 	}
 	s := specVariants()[4]
 	var a Arena
-	s.MustGenerateArena(&a) // size the slabs
+	Must(s.GenerateArena(&a)) // size the slabs
 	allocs := testing.AllocsPerRun(10, func() {
-		if got := s.MustGenerateArena(&a); len(got) != s.Count() {
+		if got := Must(s.GenerateArena(&a)); len(got) != s.Count() {
 			t.Fatal("short trace")
 		}
 	})
@@ -91,9 +94,9 @@ func TestSpecArenaSteadyStateAllocs(t *testing.T) {
 func TestSpecClientStreamsAreIndependent(t *testing.T) {
 	mixed := specVariants()[4]
 	solo := Spec{Seed: mixed.Seed, Clients: mixed.Clients[:1]}
-	want := solo.MustGenerate()
+	want := Must(solo.Generate())
 	var got []*core.Request
-	for _, r := range mixed.MustGenerate() {
+	for _, r := range Must(mixed.Generate()) {
 		if r.Tenant == 0 {
 			got = append(got, r)
 		}
@@ -111,7 +114,7 @@ func TestSpecClientStreamsAreIndependent(t *testing.T) {
 }
 
 func TestSpecTraceIsSortedAndRenumbered(t *testing.T) {
-	trace := specVariants()[4].MustGenerate()
+	trace := Must(specVariants()[4].Generate())
 	for i, r := range trace {
 		if r.ID != uint64(i+1) {
 			t.Fatalf("request %d has ID %d", i, r.ID)
@@ -184,7 +187,7 @@ func TestSpecArrivalProcessStatistics(t *testing.T) {
 				Name: "g", Count: n + 1, MeanInterarrival: mean,
 				Process: p, Shape: r.shape, Dims: 0, Levels: 1,
 			}}}
-			trace := s.MustGenerate()
+			trace := Must(s.Generate())
 			gaps := make([]float64, n)
 			sum := 0.0
 			for i := 1; i <= n; i++ {
@@ -218,7 +221,7 @@ func TestSpecRateWindowScalesArrivals(t *testing.T) {
 		Name: "w", Count: 12_000, MeanInterarrival: mean, Dims: 0, Levels: 1,
 		Windows: []Window{win},
 	}}}
-	trace := s.MustGenerate()
+	trace := Must(s.Generate())
 	inside, outside := 0, 0
 	var outSpan int64
 	last := trace[len(trace)-1].Arrival
@@ -247,12 +250,13 @@ func TestScenarioSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			trace := spec.MustGenerate()
+			trace := Must(spec.Generate())
 			if len(trace) != 2000 {
 				t.Fatalf("scenario %s generated %d requests, want 2000", name, len(trace))
 			}
 			var a Arena
-			sameTrace(t, name, trace, spec.MustGenerateArena(&a))
+			sameTrace(t, name, Must(legacySpecGenerate(spec)), trace)
+			sameTrace(t, name, trace, Must(spec.GenerateArena(&a)))
 		})
 	}
 	if _, err := ScenarioSpec("nope", 1, 1000, 1000); err == nil {
@@ -270,7 +274,7 @@ func TestScenarioSpecs(t *testing.T) {
 // classes, writes, a deadline-free scrub cohort confined to the upper
 // zone.
 func TestMixedScenarioComposition(t *testing.T) {
-	trace := MustScenarioSpec("mixed", 3, 3000, 4096).MustGenerate()
+	trace := Must(Must(ScenarioSpec("mixed", 3, 3000, 4096)).Generate())
 	classes := map[int]int{}
 	writes, noDeadline := 0, 0
 	for _, r := range trace {

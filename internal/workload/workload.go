@@ -6,11 +6,12 @@
 // in a comparison is fed the identical trace, so differences in outcomes
 // are attributable to scheduling alone.
 //
-// Each generator has two forms: Generate allocates every request (and its
-// priority vector) individually, GenerateArena packs them into an Arena's
-// contiguous slabs for allocation-free regeneration across sweep cells.
-// Both replay the same RNG draw sequence, so they produce identical
-// traces.
+// Each source — Open, Streams, Spec and a loaded Replay — has one
+// generation body, GenerateArena, which packs the trace into an Arena's
+// contiguous slabs so sweep cells regenerate allocation-free; Generate is
+// GenerateArena into a fresh arena. Open and Spec clients share one
+// per-request draw routine, so a field drawn by both consumes the RNG
+// stream in the same order.
 package workload
 
 import (
@@ -122,109 +123,59 @@ func (w Open) tenantZipf() *stats.Zipf {
 	return stats.NewZipf(stats.NewRNG(w.Seed^0x9E3779B97F4A7C15), w.Tenants, w.TenantSkew)
 }
 
-// genOne fills the i-th request into r, advancing the arrival clock. The
-// caller provides r zeroed except for Priorities, which must already have
-// length w.Dims (backed by an arena slab or a fresh allocation); both
-// Generate forms funnel through here, so they consume the RNG stream
-// identically draw for draw. tzipf is non-nil iff Tenants > 0; the tenant
-// draws come from its private stream, so tagging never perturbs the main
-// stream of an otherwise identical configuration.
-func (w Open) genOne(i int, now *int64, rng *stats.RNG, zipf, tzipf *stats.Zipf, r *core.Request) {
-	*now += int64(rng.Exponential(float64(w.MeanInterarrival)))
-	r.ID = uint64(i + 1)
-	r.Arrival = *now
-	r.Size = w.Size
-	for k := range r.Priorities {
-		r.Priorities[k] = w.drawLevel(rng, zipf)
-	}
-	if w.DeadlineMax > 0 {
-		r.Deadline = *now + w.DeadlineMin
-		if span := w.DeadlineMax - w.DeadlineMin; span > 0 {
-			r.Deadline += int64(rng.Uint64n(uint64(span) + 1))
-		}
-	}
-	if w.SizeMin > 0 && w.SizeMax >= w.SizeMin && w.Dims > 0 && w.Levels > 1 {
-		var sum int64
-		for _, l := range r.Priorities {
-			sum += int64(l)
-		}
-		r.Size = w.SizeMin + (w.SizeMax-w.SizeMin)*sum/int64(w.Dims*(w.Levels-1))
-	}
-	if tzipf != nil {
-		r.Tenant = tzipf.Draw()
-		if w.Classes > 1 {
-			r.Class = r.Tenant % w.Classes
-		}
-	}
-	if w.Cylinders > 0 {
-		if tzipf != nil && w.TenantZones {
-			lo := r.Tenant * w.Cylinders / w.Tenants
-			hi := (r.Tenant + 1) * w.Cylinders / w.Tenants
-			if hi <= lo {
-				hi = lo + 1
-			}
-			r.Cylinder = lo + rng.Intn(hi-lo)
-		} else {
-			r.Cylinder = rng.Intn(w.Cylinders)
-		}
-	}
-	if w.WriteFrac > 0 && rng.Float64() < w.WriteFrac {
-		r.Write = true
-	}
-	if w.ValueLevels > 0 {
-		r.Value = 1 + rng.Intn(w.ValueLevels)
-	}
-}
-
-// Generate builds the trace. It is deterministic in the configuration.
-func (w Open) Generate() ([]*core.Request, error) {
+// GenerateArena builds the trace into a's slabs (a nil arena means a fresh
+// one). It is deterministic in the configuration.
+func (w Open) GenerateArena(a *Arena) ([]*core.Request, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(w.Seed)
-	var zipf *stats.Zipf
-	if w.Dist == Zipf {
-		zipf = stats.NewZipf(rng.Split(), w.Levels, 1.0)
+	if a == nil {
+		a = new(Arena)
 	}
+	c := Client{
+		Dims: w.Dims, Levels: w.Levels, Dist: w.Dist,
+		DeadlineMin: w.DeadlineMin, DeadlineMax: w.DeadlineMax,
+		Size: w.Size, SizeMin: w.SizeMin, SizeMax: w.SizeMax,
+		WriteFrac: w.WriteFrac, ValueLevels: w.ValueLevels,
+	}
+	var rng stats.RNG
+	rng.Seed(w.Seed)
+	zipf := c.levelZipf(&rng)
+	// tzipf has its own stream, so drawing the tenant (and with it the
+	// zone) before c.draw moves no draw of the main stream.
 	tzipf := w.tenantZipf()
-	reqs := make([]*core.Request, 0, w.Count)
+	reqs := a.alloc(w.Count, w.Dims)
 	now := int64(0)
-	for i := 0; i < w.Count; i++ {
-		r := &core.Request{}
-		if w.Dims > 0 {
-			r.Priorities = make([]int, w.Dims)
+	for i, r := range reqs {
+		now += int64(rng.Exponential(float64(w.MeanInterarrival)))
+		r.ID = uint64(i + 1)
+		r.Arrival = now
+		lo, hi := 0, w.Cylinders
+		if tzipf != nil {
+			r.Tenant = tzipf.Draw()
+			if w.Classes > 1 {
+				r.Class = r.Tenant % w.Classes
+			}
+			if w.TenantZones && w.Cylinders > 0 {
+				lo = r.Tenant * w.Cylinders / w.Tenants
+				hi = max((r.Tenant+1)*w.Cylinders/w.Tenants, lo+1)
+			}
 		}
-		w.genOne(i, &now, rng, zipf, tzipf, r)
-		reqs = append(reqs, r)
+		c.draw(&rng, zipf, r, lo, hi)
 	}
 	return reqs, nil
 }
 
-// MustGenerate is Generate for static configurations.
-func (w Open) MustGenerate() []*core.Request {
-	reqs, err := w.Generate()
+// Generate is GenerateArena into a fresh arena.
+func (w Open) Generate() ([]*core.Request, error) { return w.GenerateArena(nil) }
+
+// Must returns v, panicking on err: Must(w.Generate()) for static
+// configurations.
+func Must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return reqs
-}
-
-func (w Open) drawLevel(rng *stats.RNG, zipf *stats.Zipf) int {
-	return drawLevel(rng, zipf, w.Dist, w.Levels)
-}
-
-// drawLevel draws one priority level under dist; zipf must be non-nil iff
-// dist is Zipf. Shared by the Open and Spec generators so every trace uses
-// the same level distributions.
-func drawLevel(rng *stats.RNG, zipf *stats.Zipf, dist PriorityDist, levels int) int {
-	switch dist {
-	case Normal:
-		return rng.NormalLevel(levels, 0.25)
-	case Zipf:
-		return zipf.Draw()
-	default:
-		return rng.Intn(levels)
-	}
+	return v
 }
 
 // Streams describes the §6 NewsByte5 workload: Users concurrent MPEG-1
@@ -277,18 +228,22 @@ func (s Streams) validate() (burst int, err error) {
 	return burst, nil
 }
 
-// generate runs the stream mix and hands every request to emit in
-// generation (pre-sort) order, with its single priority level passed
-// separately so callers choose where the priority vector lives. Both
-// Generate forms funnel through here, so they consume the RNG stream
-// identically draw for draw.
-func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
+// GenerateArena builds the trace, sorted by arrival time, into a's slabs
+// (a nil arena means a fresh one).
+func (s Streams) GenerateArena(a *Arena) ([]*core.Request, error) {
+	burst, err := s.validate()
+	if err != nil {
+		return nil, err
+	}
+	if a == nil {
+		a = new(Arena)
+	}
+	a.reqs = a.reqs[:0]
+	a.prio = a.prio[:0]
 	rng := stats.NewRNG(s.Seed)
 	// A stream consumes BitRate bits/s; each block lasts blockPeriod.
 	blockPeriod := int64(float64(s.BlockSize*8) / s.BitRate * 1e6)
 	period := blockPeriod * int64(burst)
-
-	id := uint64(1)
 	for u := 0; u < s.Users; u++ {
 		urng := rng.Split()
 		level := urng.NormalLevel(s.Levels, 0.25)
@@ -302,15 +257,14 @@ func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
 				dl += int64(urng.Uint64n(uint64(span) + 1))
 			}
 			for b := 0; b < burst; b++ {
-				emit(core.Request{
-					ID:       id,
+				a.reqs = append(a.reqs, core.Request{
 					Arrival:  t,
 					Deadline: dl,
 					Cylinder: cyl,
 					Size:     s.BlockSize,
 					Write:    write,
-				}, level)
-				id++
+				})
+				a.prio = append(a.prio, level)
 				// Sequential file layout: the next block sits on the same
 				// or next cylinder; edits occasionally jump elsewhere.
 				if urng.Float64() < 0.02 {
@@ -321,33 +275,20 @@ func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
 			}
 		}
 	}
+	// Views are taken only now: during the append loop both slabs may
+	// relocate as they grow, so mid-loop pointers or subslices into them
+	// would dangle.
+	a.ptrs = resize(a.ptrs, len(a.reqs))
+	for i := range a.reqs {
+		a.reqs[i].Priorities = a.prio[i : i+1 : i+1]
+		a.ptrs[i] = &a.reqs[i]
+	}
+	sortAndRenumber(a.ptrs)
+	return a.ptrs, nil
 }
 
-// Generate builds the trace sorted by arrival time.
-func (s Streams) Generate() ([]*core.Request, error) {
-	burst, err := s.validate()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []*core.Request
-	s.generate(burst, func(r core.Request, level int) {
-		q := &core.Request{}
-		*q = r
-		q.Priorities = []int{level}
-		reqs = append(reqs, q)
-	})
-	sortAndRenumber(reqs)
-	return reqs, nil
-}
-
-// MustGenerate is Generate for static configurations.
-func (s Streams) MustGenerate() []*core.Request {
-	reqs, err := s.Generate()
-	if err != nil {
-		panic(err)
-	}
-	return reqs
-}
+// Generate is GenerateArena into a fresh arena.
+func (s Streams) Generate() ([]*core.Request, error) { return s.GenerateArena(nil) }
 
 // sortAndRenumber orders a generated trace by arrival time (stable, so
 // same-time bursts keep generation order) and reassigns IDs 1..n in the

@@ -14,8 +14,8 @@ func openCfg() Open {
 }
 
 func TestOpenDeterministic(t *testing.T) {
-	a := openCfg().MustGenerate()
-	b := openCfg().MustGenerate()
+	a := Must(openCfg().Generate())
+	b := Must(openCfg().Generate())
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -27,13 +27,13 @@ func TestOpenDeterministic(t *testing.T) {
 	}
 	c := openCfg()
 	c.Seed = 2
-	if d := c.MustGenerate(); d[0].Arrival == a[0].Arrival && d[1].Arrival == a[1].Arrival {
+	if d := Must(c.Generate()); d[0].Arrival == a[0].Arrival && d[1].Arrival == a[1].Arrival {
 		t.Error("different seeds produced identical arrivals")
 	}
 }
 
 func TestOpenArrivalsSortedAndExponential(t *testing.T) {
-	reqs := openCfg().MustGenerate()
+	reqs := Must(openCfg().Generate())
 	var sum float64
 	prev := int64(0)
 	for _, r := range reqs {
@@ -50,7 +50,7 @@ func TestOpenArrivalsSortedAndExponential(t *testing.T) {
 }
 
 func TestOpenFieldsInRange(t *testing.T) {
-	reqs := openCfg().MustGenerate()
+	reqs := Must(openCfg().Generate())
 	for _, r := range reqs {
 		if len(r.Priorities) != 3 {
 			t.Fatal("wrong priority dims")
@@ -73,7 +73,7 @@ func TestOpenFieldsInRange(t *testing.T) {
 func TestOpenRelaxedDeadlines(t *testing.T) {
 	cfg := openCfg()
 	cfg.DeadlineMin, cfg.DeadlineMax = 0, 0
-	for _, r := range cfg.MustGenerate() {
+	for _, r := range Must(cfg.Generate()) {
 		if r.Deadline != 0 {
 			t.Fatal("relaxed config should not set deadlines")
 		}
@@ -85,7 +85,7 @@ func TestOpenDistributions(t *testing.T) {
 		cfg := openCfg()
 		cfg.Dist = dist
 		counts := make([]int, cfg.Levels)
-		for _, r := range cfg.MustGenerate() {
+		for _, r := range Must(cfg.Generate()) {
 			counts[r.Priorities[0]]++
 		}
 		switch dist {
@@ -106,7 +106,7 @@ func TestOpenWritesAndValues(t *testing.T) {
 	cfg.WriteFrac = 0.3
 	cfg.ValueLevels = 5
 	writes := 0
-	for _, r := range cfg.MustGenerate() {
+	for _, r := range Must(cfg.Generate()) {
 		if r.Write {
 			writes++
 		}
@@ -144,7 +144,7 @@ func TestOpenTenantTagging(t *testing.T) {
 	cfg.Classes = 3
 	cfg.TenantZones = true
 	var perTenant [10]int
-	for _, r := range cfg.MustGenerate() {
+	for _, r := range Must(cfg.Generate()) {
 		if r.Tenant < 0 || r.Tenant >= cfg.Tenants {
 			t.Fatalf("tenant %d out of [0,%d)", r.Tenant, cfg.Tenants)
 		}
@@ -174,7 +174,7 @@ func TestOpenTenantTaggingPreservesStream(t *testing.T) {
 	tagged.Tenants = 7
 	tagged.TenantSkew = 0.8
 	tagged.Classes = 2
-	a, b := base.MustGenerate(), tagged.MustGenerate()
+	a, b := Must(base.Generate()), Must(tagged.Generate())
 	for i := range a {
 		if a[i].Arrival != b[i].Arrival || a[i].Deadline != b[i].Deadline ||
 			a[i].Cylinder != b[i].Cylinder || a[i].Size != b[i].Size ||
@@ -195,8 +195,8 @@ func streamCfg() Streams {
 }
 
 func TestStreamsDeterministicAndSorted(t *testing.T) {
-	a := streamCfg().MustGenerate()
-	b := streamCfg().MustGenerate()
+	a := Must(streamCfg().Generate())
+	b := Must(streamCfg().Generate())
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("lengths differ or empty: %d vs %d", len(a), len(b))
 	}
@@ -214,7 +214,7 @@ func TestStreamsDeterministicAndSorted(t *testing.T) {
 
 func TestStreamsThroughputMatchesBitrate(t *testing.T) {
 	cfg := streamCfg()
-	reqs := cfg.MustGenerate()
+	reqs := Must(cfg.Generate())
 	// Expected requests: users * duration / blockPeriod.
 	blockPeriod := float64(cfg.BlockSize*8) / cfg.BitRate * 1e6
 	want := float64(cfg.Users) * float64(cfg.Duration) / blockPeriod
@@ -225,7 +225,7 @@ func TestStreamsThroughputMatchesBitrate(t *testing.T) {
 }
 
 func TestStreamsBursty(t *testing.T) {
-	reqs := streamCfg().MustGenerate()
+	reqs := Must(streamCfg().Generate())
 	// With burst=3 many consecutive requests share an arrival timestamp.
 	same := 0
 	for i := 1; i < len(reqs); i++ {
@@ -239,7 +239,7 @@ func TestStreamsBursty(t *testing.T) {
 }
 
 func TestStreamsPriorityAndDeadlineRanges(t *testing.T) {
-	for _, r := range streamCfg().MustGenerate() {
+	for _, r := range Must(streamCfg().Generate()) {
 		if r.Priorities[0] < 0 || r.Priorities[0] >= 8 {
 			t.Fatalf("level %d out of range", r.Priorities[0])
 		}
@@ -251,7 +251,7 @@ func TestStreamsPriorityAndDeadlineRanges(t *testing.T) {
 }
 
 func TestStreamsWriteMix(t *testing.T) {
-	reqs := streamCfg().MustGenerate()
+	reqs := Must(streamCfg().Generate())
 	writes := 0
 	for _, r := range reqs {
 		if r.Write {
@@ -268,7 +268,7 @@ func TestStreamsMostlySequentialCylinders(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Users = 1
 	cfg.Burst = 1
-	reqs := cfg.MustGenerate()
+	reqs := Must(cfg.Generate())
 	small := 0
 	for i := 1; i < len(reqs); i++ {
 		d := reqs[i].Cylinder - reqs[i-1].Cylinder
