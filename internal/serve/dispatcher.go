@@ -85,11 +85,12 @@ type Record struct {
 	Abandoned bool
 }
 
-// Dispatcher is the real-clock serving loop: it pops requests from its
-// scheduler in the scheduler's dispatch order and executes them against a
-// Backend, with a bounded number in flight. The zero value is
-// not usable; construct with New, then Start, Submit from any number of
-// goroutines, and shut down with Drain (graceful) or Stop (immediate).
+// Dispatcher is the real-clock server: InFlight persistent workers each
+// take the scheduler's next request and execute it against a Backend, so
+// dispatch follows the scheduler's order with a bounded number in flight.
+// The zero value is not usable; construct with New, then Start, Submit
+// from any number of goroutines, and shut down with Drain (graceful) or
+// Stop (immediate).
 type Dispatcher struct {
 	cfg Config
 	m   *Metrics
@@ -98,38 +99,33 @@ type Dispatcher struct {
 	cancel  context.CancelFunc
 	started atomic.Bool
 	startMu sync.Mutex
-	stopped chan struct{} // closed when the dispatch loop exits
+	stopped chan struct{} // closed once every worker has exited
 	stop    sync.Once
+	workers sync.WaitGroup
 
-	// slots is the in-flight semaphore: the loop takes a slot before each
-	// dispatch, the worker returns it at completion.
-	slots chan struct{}
 	// quota is the MaxQueue backpressure semaphore (nil when unbounded):
 	// Submit takes, completion/drop/rejection returns.
 	quota chan struct{}
-	// kick wakes the loop when new work or a completion changes what Next
-	// can see; capacity 1, senders never block.
-	kick chan struct{}
+
+	// mu serializes the scheduler and the dispatch state: producers Add
+	// and workers take under it. closed shuts the ingress (Drain, Stop);
+	// producers check it under mu, so a submission racing shutdown is
+	// either queued before the close — and then served, or counted
+	// abandoned by Stop — or rejected. Idle workers wait on idle.
+	mu       sync.Mutex
+	idle     *sync.Cond
+	closed   bool
+	draining bool
+	halted   bool // Stop or the Start context: workers exit at their next take
+	dispSeq  int
 
 	// outstanding counts submitted-but-not-yet-finished requests (queued +
-	// in flight). The drain handshake keys off it reaching zero. Producers
-	// increment it before kicking, so a consumed kick always observes an
-	// up-to-date count.
+	// in flight). It changes only under mu, so the drain handshake — a
+	// worker exits once draining and outstanding is zero — cannot miss
+	// the last completion; it is atomic for the lock-free Outstanding.
 	outstanding atomic.Int64
-	draining    atomic.Bool
-
-	// mu serializes the scheduler: producers Add and the loop Next under
-	// it. closed shuts the ingress (Drain, Stop); producers check it under
-	// mu, so a submission racing shutdown is either queued before the
-	// close — and then served, or counted abandoned by Stop — or rejected.
-	mu     sync.Mutex
-	closed bool
-
-	head    atomic.Int64
-	travel  atomic.Int64
-	dispSeq int // loop-local dispatch sequence
-
-	workers sync.WaitGroup
+	head        atomic.Int64
+	travel      atomic.Int64
 
 	recMu sync.Mutex
 	recs  []Record
@@ -159,23 +155,15 @@ func New(cfg Config) (*Dispatcher, error) {
 	if m == nil {
 		m = DefaultMetrics
 	}
-	d := &Dispatcher{
-		cfg:     cfg,
-		m:       m,
-		stopped: make(chan struct{}),
-		slots:   make(chan struct{}, cfg.InFlight),
-		kick:    make(chan struct{}, 1),
-	}
-	for i := 0; i < cfg.InFlight; i++ {
-		d.slots <- struct{}{}
-	}
+	d := &Dispatcher{cfg: cfg, m: m, stopped: make(chan struct{})}
+	d.idle = sync.NewCond(&d.mu)
 	if cfg.MaxQueue > 0 {
 		d.quota = make(chan struct{}, cfg.MaxQueue)
 	}
 	return d, nil
 }
 
-// Start launches the dispatch loop. The loop runs until Drain completes,
+// Start launches the InFlight workers. They run until Drain completes,
 // Stop is called, or ctx is canceled. Start is idempotent; it must precede
 // the first Submit.
 func (d *Dispatcher) Start(ctx context.Context) {
@@ -185,8 +173,16 @@ func (d *Dispatcher) Start(ctx context.Context) {
 		return
 	}
 	d.ctx, d.cancel = context.WithCancel(ctx)
+	context.AfterFunc(d.ctx, func() { d.set(&d.halted) })
 	d.started.Store(true)
-	go d.loop()
+	d.workers.Add(d.cfg.InFlight)
+	for i := 0; i < d.cfg.InFlight; i++ {
+		go d.work()
+	}
+	go func() {
+		d.workers.Wait()
+		close(d.stopped)
+	}()
 }
 
 // Head returns the current emulated head cylinder.
@@ -213,7 +209,7 @@ func (d *Dispatcher) Submit(ctx context.Context, r *core.Request) error {
 //
 // SubmitAt works before Start too — Preload stages a whole trace that way
 // so every value anchors on the initial head and sweep state — but a
-// pre-Start submission must not depend on the loop for progress: with a
+// pre-Start submission must not depend on the workers for progress: with a
 // MaxQueue smaller than the staged trace it would block on quota no
 // dispatch can ever free.
 func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) error {
@@ -240,9 +236,7 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		if d.quota != nil {
-			<-d.quota
-		}
+		d.release()
 		d.m.Rejected.Inc()
 		return ErrClosed
 	}
@@ -252,7 +246,7 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 	d.outstanding.Add(1)
 	d.mu.Unlock()
 	d.m.Submitted.Inc()
-	d.wake()
+	d.idle.Signal()
 	return nil
 }
 
@@ -262,19 +256,17 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 // expires first the remaining work is abandoned via Stop and ctx's error
 // is returned.
 func (d *Dispatcher) Drain(ctx context.Context) error {
-	d.close()
+	d.set(&d.closed)
 	if !d.started.Load() {
 		return ErrNotStarted
 	}
-	d.draining.Store(true)
-	d.wake()
+	d.set(&d.draining)
 	select {
 	case <-d.stopped:
 	case <-ctx.Done():
 		d.Stop()
 		return ctx.Err()
 	}
-	d.workers.Wait()
 	d.m.Drains.Inc()
 	return nil
 }
@@ -282,32 +274,36 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 // Stop halts the dispatcher immediately: the ingress closes, in-flight
 // backend services are canceled and recorded as abandoned, and requests
 // still queued are counted abandoned as well, exactly once. Stop blocks
-// until the loop and all workers have exited. Idempotent.
+// until all workers have exited. Idempotent.
 func (d *Dispatcher) Stop() {
-	d.close()
+	d.set(&d.closed)
 	if !d.started.Load() {
 		return
 	}
 	d.stop.Do(func() {
+		// Halt before canceling: a worker whose service the cancel cuts
+		// short must find the halt at its next take, not dispatch again.
+		d.set(&d.halted)
 		d.cancel()
 		<-d.stopped
-		d.workers.Wait()
-		// The loop has exited and the ingress is shut, so the queue is
+		// The workers have exited and the ingress is shut, so the queue is
 		// final. Its requests stay in the scheduler; the Once keeps a
 		// second Stop from counting them again.
 		d.mu.Lock()
 		n := d.cfg.Sched.Len()
+		d.outstanding.Add(int64(-n))
 		d.mu.Unlock()
 		d.m.Abandoned.Add(uint64(n))
-		d.outstanding.Add(int64(-n))
 	})
 }
 
-// close shuts the ingress: every later SubmitAt returns ErrClosed.
-func (d *Dispatcher) close() {
+// set raises one of the shutdown flags under mu and wakes the idle
+// workers to act on it.
+func (d *Dispatcher) set(flag *bool) {
 	d.mu.Lock()
-	d.closed = true
+	*flag = true
 	d.mu.Unlock()
+	d.idle.Broadcast()
 }
 
 // Records returns a copy of the accumulated dispatch records in dispatch
@@ -323,128 +319,118 @@ func (d *Dispatcher) Records() []Record {
 	return out
 }
 
-// wake nudges the dispatch loop; never blocks.
-func (d *Dispatcher) wake() {
-	select {
-	case d.kick <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the single consumer of the scheduler: take a slot, pop the next
-// request, hand it to a worker. Runs until shutdown.
-func (d *Dispatcher) loop() {
-	defer close(d.stopped)
-	for {
-		select {
-		case <-d.ctx.Done():
-			return
-		case <-d.slots:
-		}
-		r, ok := d.take()
+// work is one persistent worker: take the next request, serve it inline,
+// record the outcome, repeat until shutdown. It reads the wall clock once
+// per transition: after a wait, and at each completion, whose reading
+// also stamps the next take.
+func (d *Dispatcher) work() {
+	defer d.workers.Done()
+	var drops []Record
+	t := time.Now()
+	for retire := false; ; retire = true {
+		r, rec, ok := d.take(&t, retire, &drops)
 		if !ok {
 			return
 		}
-		now := d.cfg.Clock.Now()
+		comp, err := d.cfg.Backend.Serve(d.ctx, r, rec.Head)
+		done := time.Now()
+		d.m.WallService.Observe(uint64(done.Sub(t).Microseconds()))
+		t = done
+		rec.Seek, rec.Service = comp.Seek, comp.Service
+		if err != nil {
+			rec.Abandoned = true
+			d.m.Abandoned.Inc()
+		} else {
+			rec.Done = d.cfg.Clock.at(done)
+			d.m.Completed.Inc()
+			if lat := rec.Done - r.Arrival; lat >= 0 {
+				d.m.ModelLatency.Observe(uint64(lat))
+			}
+		}
+		d.m.InFlight.Add(-1)
+		d.release()
+		d.record(rec)
+	}
+}
+
+// take pops the next request to serve and its record so far, waiting
+// while the queue is empty. *t is the wall reading the dispatch is stamped
+// with, refreshed after a wait; retire retires the request the worker just
+// finished, in the same critical section. Expired requests are dropped
+// here under DropLate. Their records collect in drops and are emitted only
+// once mu is released, because OnRecord may call back into Submit. ok is
+// false on shutdown: a halt, or a drain that found the dispatcher
+// quiescent.
+func (d *Dispatcher) take(t *time.Time, retire bool, drops *[]Record) (r *core.Request, rec Record, ok bool) {
+	d.mu.Lock()
+	if retire {
+		d.outstanding.Add(-1)
+	}
+	for !d.halted {
+		now := d.cfg.Clock.at(*t)
 		head := d.Head()
-		target := clampCyl(r.Cylinder, d.cfg.Backend.Cylinders())
+		if r = d.cfg.Sched.Next(now, head); r == nil {
+			if d.draining && d.outstanding.Load() == 0 {
+				break
+			}
+			if len(*drops) > 0 {
+				// Emit before sleeping: their producers may be waiting on
+				// those records to submit more work.
+				d.mu.Unlock()
+				d.flush(drops)
+				d.mu.Lock()
+			} else {
+				d.idle.Wait()
+			}
+			*t = time.Now()
+			continue
+		}
+		// Drops consume a dispatch sequence number too: the decision was
+		// made, only the backend service is skipped.
+		rec = Record{ID: r.ID, Seq: d.dispSeq, Arrival: r.Arrival, Dispatch: now, Head: head, Target: head}
+		d.dispSeq++
+		d.m.Dispatched.Inc()
+		if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
+			rec.Dropped = true
+			*drops = append(*drops, rec)
+			d.m.Dropped.Inc()
+			d.outstanding.Add(-1)
+			continue
+		}
+		rec.Target = clampCyl(r.Cylinder, d.cfg.Backend.Cylinders())
 		// Single-disk HeadAtDispatch semantics: the head is en route to the
 		// target for the whole service window, so submissions arriving
 		// mid-service anchor their values on the position being seeked to —
 		// exactly what the simulator's stations expose to the scheduler.
-		d.head.Store(int64(target))
-		d.travel.Add(int64(absInt(target - head)))
-		d.m.HeadTravelCylinders.Add(uint64(absInt(target - head)))
-		seq := d.dispSeq
-		d.dispSeq++
-		d.m.Dispatched.Inc()
+		d.head.Store(int64(rec.Target))
+		d.travel.Add(int64(absInt(rec.Target - head)))
+		d.m.HeadTravelCylinders.Add(uint64(absInt(rec.Target - head)))
 		d.m.InFlight.Add(1)
-		d.workers.Add(1)
-		go d.serveOne(r, head, target, seq, now)
-	}
-}
-
-// take pops the next dispatchable request, blocking until one is
-// available, shutdown begins, or — while draining — the dispatcher goes
-// quiescent. Expired requests are dropped here under DropLate without
-// consuming the held slot. The second return is false on shutdown.
-func (d *Dispatcher) take() (*core.Request, bool) {
-	for {
-		now := d.cfg.Clock.Now()
-		d.mu.Lock()
-		r := d.cfg.Sched.Next(now, d.Head())
 		d.mu.Unlock()
-		if r != nil {
-			if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
-				d.drop(r, now)
-				continue
-			}
-			return r, true
-		}
-		// Workers decrement outstanding before kicking, so after consuming
-		// a kick this check never misses a finished request.
-		if d.draining.Load() && d.outstanding.Load() == 0 {
-			return nil, false
-		}
-		select {
-		case <-d.kick:
-		case <-d.ctx.Done():
-			return nil, false
-		}
+		d.flush(drops)
+		return r, rec, true
 	}
+	d.mu.Unlock()
+	// Quiescent or halted: every other idle worker must see it too.
+	d.idle.Broadcast()
+	d.flush(drops)
+	return nil, Record{}, false
 }
 
-// drop records the discard of an expired request. Drops consume a dispatch
-// sequence number (the decision was made) but no backend service.
-func (d *Dispatcher) drop(r *core.Request, now int64) {
-	seq := d.dispSeq
-	d.dispSeq++
-	d.m.Dispatched.Inc()
-	d.m.Dropped.Inc()
-	d.record(Record{
-		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: now,
-		Head: d.Head(), Target: d.Head(), Dropped: true,
-	})
-	d.finishOne()
+// flush returns the collected drops' quota and emits their records.
+func (d *Dispatcher) flush(drops *[]Record) {
+	for _, rec := range *drops {
+		d.release()
+		d.record(rec)
+	}
+	*drops = (*drops)[:0]
 }
 
-// serveOne runs one backend service on its own goroutine and does the
-// completion accounting.
-func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt int64) {
-	defer d.workers.Done()
-	wallStart := time.Now()
-	comp, err := d.cfg.Backend.Serve(d.ctx, r, head)
-	d.m.WallService.Observe(uint64(time.Since(wallStart).Microseconds()))
-	done := d.cfg.Clock.Now()
-	rec := Record{
-		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: dispatchAt, Done: done,
-		Head: head, Target: target, Seek: comp.Seek, Service: comp.Service,
-	}
-	if err != nil {
-		rec.Abandoned = true
-		rec.Done = 0
-		d.m.Abandoned.Inc()
-	} else {
-		d.m.Completed.Inc()
-		if lat := done - r.Arrival; lat >= 0 {
-			d.m.ModelLatency.Observe(uint64(lat))
-		}
-	}
-	d.record(rec)
-	d.m.InFlight.Add(-1)
-	d.finishOne()
-	d.slots <- struct{}{}
-	d.wake()
-}
-
-// finishOne retires one outstanding request: releases its backpressure
-// quota and lets a drain observe quiescence.
-func (d *Dispatcher) finishOne() {
-	d.outstanding.Add(-1)
+// release returns one retired request's backpressure quota.
+func (d *Dispatcher) release() {
 	if d.quota != nil {
 		<-d.quota
 	}
-	d.wake()
 }
 
 // record appends/forwards one Record; calls to OnRecord are serialized.

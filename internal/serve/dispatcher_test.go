@@ -367,11 +367,12 @@ func TestDispatcherStopAbandons(t *testing.T) {
 }
 
 // TestDispatcherShutdownNoLossNoDoubleDispatch is the dispatcher's
-// shutdown contract: producers hammer Submit while the loop serves, and a
-// Drain — or, in the second case, a Stop — lands mid-run. Every submitted
-// request must end in exactly one of three ways: ErrClosed, one terminal
-// record, or (Stop only) still queued and counted abandoned. Never two,
-// never none.
+// shutdown contract: producers hammer Submit while the workers serve, and
+// a Drain — or a Stop — lands mid-run, at in-flight bounds 1, 2 and 4,
+// with and without DropLate. Every submitted request must end in exactly
+// one of three ways: ErrClosed, one terminal record, or (Stop only) still
+// queued and counted abandoned. Never two, never none; and the counters
+// agree: Submitted = Completed + Dropped + Abandoned.
 func TestDispatcherShutdownNoLossNoDoubleDispatch(t *testing.T) {
 	for _, stop := range []bool{false, true} {
 		name := "drain"
@@ -379,101 +380,210 @@ func TestDispatcherShutdownNoLossNoDoubleDispatch(t *testing.T) {
 			name = "stop"
 		}
 		t.Run(name, func(t *testing.T) {
-			s := newCascaded(core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-			d, m := newTestDispatcher(t, Config{Sched: s, InFlight: 2})
-			d.Start(context.Background())
-
-			const producers = 4
-			const perProducer = 2000
-			const total = producers * perProducer
-			var accepted, rejected sync.Map // id -> true
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < perProducer; i++ {
-						id := uint64(p*perProducer + i + 1)
-						r := &core.Request{
-							ID:         id,
-							Priorities: []int{int(id) % 8},
-							Deadline:   int64(id%700_000) + 1,
-							Cylinder:   int(id*37) % 3832,
-						}
-						switch err := d.Submit(context.Background(), r); {
-						case err == nil:
-							accepted.Store(id, true)
-						case errors.Is(err, ErrClosed):
-							rejected.Store(id, true)
-						default:
-							t.Errorf("Submit %d: %v", id, err)
-							return
-						}
-					}
-				}(p)
-			}
-
-			// Let the mill turn, then shut the ingress mid-run.
-			waitFor(t, "submissions", func() bool { return m.Submitted.Load() >= total/4 })
-			if stop {
-				d.Stop()
-			} else if err := d.Drain(context.Background()); err != nil {
-				t.Fatalf("Drain: %v", err)
-			}
-			wg.Wait()
-
-			outcomes := make(map[uint64]int, total)
-			recAbandoned := 0
-			for _, rec := range d.Records() {
-				outcomes[rec.ID]++
-				if rec.Abandoned {
-					recAbandoned++
+			for _, inflight := range []int{1, 2, 4} {
+				for _, dropLate := range []bool{false, true} {
+					t.Run(fmt.Sprintf("inflight%d/droplate=%v", inflight, dropLate), func(t *testing.T) {
+						testShutdownNoLossNoDoubleDispatch(t, stop, inflight, dropLate)
+					})
 				}
-				if rec.Dropped || (!stop && rec.Abandoned) {
-					t.Fatalf("request %d: unexpected terminal record %+v", rec.ID, rec)
-				}
-			}
-			// Stop leaves the queued remainder in the scheduler.
-			queued := 0
-			s.Each(func(r *core.Request) {
-				outcomes[r.ID]++
-				queued++
-			})
-			if !stop && queued != 0 {
-				t.Fatalf("%d requests still queued after Drain", queued)
-			}
-			if got := int(m.Abandoned.Load()); got != recAbandoned+queued {
-				t.Fatalf("Abandoned = %d, want %d records + %d queued", got, recAbandoned, queued)
-			}
-
-			var nAccepted, nRejected int
-			accepted.Range(func(k, _ any) bool {
-				nAccepted++
-				if n := outcomes[k.(uint64)]; n != 1 {
-					t.Fatalf("accepted request %d has %d outcomes, want exactly 1", k, n)
-				}
-				return true
-			})
-			rejected.Range(func(k, _ any) bool {
-				nRejected++
-				if n := outcomes[k.(uint64)]; n != 0 {
-					t.Fatalf("rejected request %d has %d outcomes, want 0", k, n)
-				}
-				return true
-			})
-			if nAccepted+nRejected != total {
-				t.Fatalf("accepted %d + rejected %d != submitted %d", nAccepted, nRejected, total)
-			}
-			if len(outcomes) != nAccepted {
-				t.Fatalf("%d distinct requests have outcomes, %d were accepted", len(outcomes), nAccepted)
-			}
-			if got := int(m.Rejected.Load()); got != nRejected {
-				t.Fatalf("Rejected = %d, want %d", got, nRejected)
-			}
-			if nRejected == 0 {
-				t.Log("note: shutdown landed after every producer finished; rejection path untested this run")
 			}
 		})
+	}
+}
+
+func testShutdownNoLossNoDoubleDispatch(t *testing.T, stop bool, inflight int, dropLate bool) {
+	s := newCascaded(core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	d, m := newTestDispatcher(t, Config{Sched: s, InFlight: inflight, DropLate: dropLate})
+	d.Start(context.Background())
+
+	const producers = 4
+	const perProducer = 2000
+	const total = producers * perProducer
+	var accepted, rejected sync.Map // id -> true
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				id := uint64(p*perProducer + i + 1)
+				r := &core.Request{
+					ID:         id,
+					Priorities: []int{int(id) % 8},
+					Deadline:   int64(id%700_000) + 1,
+					Cylinder:   int(id*37) % 3832,
+				}
+				if id%2 == 1 {
+					// Out of reach of the model clock for the whole run,
+					// so DropLate both drops and serves.
+					r.Deadline += 1 << 40
+				}
+				switch err := d.Submit(context.Background(), r); {
+				case err == nil:
+					accepted.Store(id, true)
+				case errors.Is(err, ErrClosed):
+					rejected.Store(id, true)
+				default:
+					t.Errorf("Submit %d: %v", id, err)
+					return
+				}
+			}
+		}(p)
+	}
+
+	// Let the mill turn, then shut the ingress mid-run.
+	waitFor(t, "submissions", func() bool { return m.Submitted.Load() >= total/4 })
+	if stop {
+		d.Stop()
+	} else if err := d.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	wg.Wait()
+
+	outcomes := make(map[uint64]int, total)
+	recAbandoned, recDropped := 0, 0
+	for _, rec := range d.Records() {
+		outcomes[rec.ID]++
+		if rec.Abandoned {
+			recAbandoned++
+		}
+		if rec.Dropped {
+			recDropped++
+		}
+		if (rec.Dropped && !dropLate) || (!stop && rec.Abandoned) {
+			t.Fatalf("request %d: unexpected terminal record %+v", rec.ID, rec)
+		}
+	}
+	// Stop leaves the queued remainder in the scheduler.
+	queued := 0
+	s.Each(func(r *core.Request) {
+		outcomes[r.ID]++
+		queued++
+	})
+	if !stop && queued != 0 {
+		t.Fatalf("%d requests still queued after Drain", queued)
+	}
+	if got := int(m.Abandoned.Load()); got != recAbandoned+queued {
+		t.Fatalf("Abandoned = %d, want %d records + %d queued", got, recAbandoned, queued)
+	}
+	if got := int(m.Dropped.Load()); got != recDropped {
+		t.Fatalf("Dropped = %d, want %d dropped records", got, recDropped)
+	}
+	if sub, fin := m.Submitted.Load(), m.Completed.Load()+m.Dropped.Load()+m.Abandoned.Load(); sub != fin {
+		t.Fatalf("Submitted = %d, but Completed + Dropped + Abandoned = %d", sub, fin)
+	}
+	if d.Outstanding() != 0 {
+		t.Fatalf("Outstanding = %d after shutdown, want 0", d.Outstanding())
+	}
+
+	var nAccepted, nRejected int
+	accepted.Range(func(k, _ any) bool {
+		nAccepted++
+		if n := outcomes[k.(uint64)]; n != 1 {
+			t.Fatalf("accepted request %d has %d outcomes, want exactly 1", k, n)
+		}
+		return true
+	})
+	rejected.Range(func(k, _ any) bool {
+		nRejected++
+		if n := outcomes[k.(uint64)]; n != 0 {
+			t.Fatalf("rejected request %d has %d outcomes, want 0", k, n)
+		}
+		return true
+	})
+	if nAccepted+nRejected != total {
+		t.Fatalf("accepted %d + rejected %d != submitted %d", nAccepted, nRejected, total)
+	}
+	if len(outcomes) != nAccepted {
+		t.Fatalf("%d distinct requests have outcomes, %d were accepted", len(outcomes), nAccepted)
+	}
+	if got := int(m.Rejected.Load()); got != nRejected {
+		t.Fatalf("Rejected = %d, want %d", got, nRejected)
+	}
+	if nRejected == 0 {
+		t.Log("note: shutdown landed after every producer finished; rejection path untested this run")
+	}
+}
+
+// TestDispatcherOnRecordResubmits runs the closed loop inside OnRecord:
+// every record, a drop's included, submits the next request from the
+// callback. A record emitted while the dispatcher holds its scheduler lock
+// would deadlock that Submit, and one held back while a worker sleeps
+// would starve the loop, so the test bounds its wait instead of hanging.
+// Every expired-th ID carries an already-expired deadline and must drop;
+// the others one out of the run's reach.
+func TestDispatcherOnRecordResubmits(t *testing.T) {
+	for _, inflight := range []int{1, 4} {
+		for _, expired := range []uint64{1, 2} {
+			t.Run(fmt.Sprintf("inflight%d/expired%d", inflight, expired), func(t *testing.T) {
+				testOnRecordResubmits(t, inflight, expired)
+			})
+		}
+	}
+}
+
+func testOnRecordResubmits(t *testing.T, inflight int, expired uint64) {
+	const total, seeds = 4000, 8
+	m := &Metrics{}
+	clock, _ := NewClock(10_000)
+	outcomes := make(map[uint64]int, total) // OnRecord calls are serialized
+	all := make(chan struct{})
+	var next atomic.Uint64
+	next.Store(seeds)
+	var d *Dispatcher
+	req := func(id uint64) *core.Request {
+		r := reqAt(id, int(id*37)%3832, 4096)
+		r.Deadline = 1 << 40
+		if id%expired == 0 {
+			r.Deadline = 1
+		}
+		return r
+	}
+	d, err := New(Config{
+		Sched: newCascaded(core.DispatcherConfig{Mode: core.FullyPreemptive}, 0), Backend: &fakeBackend{},
+		Clock: clock, InFlight: inflight, MaxQueue: seeds, DropLate: true, Metrics: m,
+		OnRecord: func(rec Record) {
+			outcomes[rec.ID]++
+			if len(outcomes) == total && outcomes[rec.ID] == 1 {
+				close(all)
+			}
+			if id := next.Add(1); id <= total {
+				if err := d.Submit(context.Background(), req(id)); err != nil {
+					t.Errorf("Submit %d from OnRecord: %v", id, err)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The model clock is past the expired deadlines before any take.
+	time.Sleep(time.Millisecond)
+	d.Start(context.Background())
+	for id := uint64(1); id <= seeds; id++ {
+		if err := d.Submit(context.Background(), req(id)); err != nil {
+			t.Fatalf("Submit %d: %v", id, err)
+		}
+	}
+	select {
+	case <-all:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("deadlock: %d of %d requests decided", m.Completed.Load()+m.Dropped.Load(), total)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	for id := uint64(1); id <= total; id++ {
+		if outcomes[id] != 1 {
+			t.Fatalf("request %d has %d records, want exactly 1", id, outcomes[id])
+		}
+	}
+	drops := total / expired
+	if m.Submitted.Load() != total || m.Dropped.Load() != drops || m.Completed.Load() != total-drops {
+		t.Fatalf("submitted %d, completed %d, dropped %d; want %d, %d, %d",
+			m.Submitted.Load(), m.Completed.Load(), m.Dropped.Load(), total, total-drops, drops)
 	}
 }
 
@@ -507,7 +617,7 @@ func TestDispatcherDropLate(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		r := reqAt(uint64(i), i*400, 4096)
 		if i%2 == 0 {
-			// The model clock is well past 1 µs by the time the loop runs.
+			// The model clock is well past 1 µs by the time the workers run.
 			r.Deadline = 1
 		}
 		trace = append(trace, r)

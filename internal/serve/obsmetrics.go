@@ -11,7 +11,7 @@ type Metrics struct {
 	Submitted obs.Counter `metric:"submitted" help:"requests accepted into the serving scheduler"`
 	// Rejected counts submissions refused because the ingress was closed.
 	Rejected obs.Counter `metric:"rejected" help:"submissions refused by a closed ingress"`
-	// Dispatched counts requests the dispatch loop handed to the backend
+	// Dispatched counts requests the dispatcher's workers took for the backend
 	// (plus drops: every dequeue is a dispatch decision).
 	Dispatched obs.Counter `metric:"dispatched" help:"dispatch decisions (services plus drops)"`
 	// Completed counts services the backend finished successfully.

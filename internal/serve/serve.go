@@ -1,8 +1,8 @@
 // Package serve lifts the Cascaded-SFC scheduler out of the simulator's
 // virtual clock and stands it up as a real concurrent service: goroutines
-// submit requests into a scheduler, a dispatcher pops them in the
-// scheduler's order and executes each against a pluggable Backend on the
-// wall clock.
+// submit requests into a scheduler, and a dispatcher's persistent workers
+// take them in the scheduler's order, each serving its request inline
+// against a pluggable Backend on the wall clock.
 //
 // The layer split is policy / clock / backend:
 //
@@ -58,8 +58,12 @@ func NewClock(dilation float64) (*Clock, error) {
 func (c *Clock) Dilation() float64 { return c.dilation }
 
 // Now returns the current model time in microseconds.
-func (c *Clock) Now() int64 {
-	return int64(float64(time.Since(c.start).Microseconds()) * c.dilation)
+func (c *Clock) Now() int64 { return c.at(time.Now()) }
+
+// at converts the wall reading t into model time, so a caller that has
+// already read the clock can stamp several events with one reading.
+func (c *Clock) at(t time.Time) int64 {
+	return int64(float64(t.Sub(c.start).Microseconds()) * c.dilation)
 }
 
 // Wall converts a model duration (µs) into the wall-clock duration that
